@@ -2,61 +2,27 @@
 //
 // The optimized engine (incremental pool counters, live running-set index,
 // preview memoization, pop_front removal) must make EXACTLY the decisions
-// of the pre-optimization reference engine (SimulationConfig::baseline_loop).
-// Two layers of protection:
+// of the pre-optimization seed engine. Two layers of protection:
 //   * a pinned golden grid (3 policies x 3 estimators on a generated CM5
 //     workload with dynamic availability) whose values were captured from
 //     the seed engine before any optimization landed — a regression here
 //     means the engine's behaviour drifted, not just its speed;
-//   * in-process A/B runs asserting the two engines produce bit-identical
-//     results and time series, including under randomized availability.
+//   * result digests (tests/sim_golden.hpp) captured from the seed engine
+//     for the grid and for randomized availability schedules, which every
+//     entry point must reproduce bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "core/factory.hpp"
-#include "sched/factory.hpp"
-#include "sim/simulator.hpp"
-#include "sim/timeseries.hpp"
-#include "trace/cm5_model.hpp"
-#include "trace/transforms.hpp"
-#include "util/rng.hpp"
+#include "sim_golden.hpp"
 
 namespace resmatch {
 namespace {
 
-trace::Workload golden_workload() {
-  trace::Workload w = trace::generate_cm5_small(11, 1200);
-  w = trace::drop_wide_jobs(std::move(w), 256);
-  w = trace::scale_to_load(std::move(w), 256, 0.9);
-  return trace::sort_by_submit(std::move(w));
-}
-
-sim::ClusterSpec golden_cluster() { return sim::cm5_heterogeneous(24.0, 128); }
-
-sim::SimulationConfig golden_config(sim::TimeSeries* ts, bool baseline) {
-  sim::SimulationConfig cfg;
-  cfg.seed = 7;
-  cfg.explicit_feedback = true;
-  cfg.availability = {{2000.0, 24.0, -40}, {6000.0, 32.0, 24},
-                      {9000.0, 24.0, 40}};
-  cfg.timeseries = ts;
-  cfg.baseline_loop = baseline;
-  return cfg;
-}
-
-sim::SimulationResult run_once(const trace::Workload& w,
-                               const std::string& policy,
-                               const std::string& estimator, bool baseline,
-                               sim::TimeSeries* ts) {
-  const auto est = core::make_estimator(estimator);
-  const auto pol = sched::make_policy(policy);
-  return sim::simulate(w, golden_cluster(), *est, *pol,
-                       golden_config(ts, baseline));
-}
+using golden::golden_cluster;
+using golden::golden_config;
+using golden::golden_workload;
 
 /// Values captured from the seed engine (pre-optimization) for the golden
 /// configuration. Integers must match exactly; doubles are pinned with a
@@ -115,7 +81,11 @@ TEST(PerfEquivalence, OptimizedEngineMatchesSeedGoldens) {
   for (const Golden& g : kGolden) {
     SCOPED_TRACE(std::string(g.policy) + " / " + g.estimator);
     sim::TimeSeries ts(50.0);
-    const auto r = run_once(w, g.policy, g.estimator, /*baseline=*/false, &ts);
+    const auto est = core::make_estimator(g.estimator);
+    const auto pol = sched::make_policy(g.policy);
+    sim::SimulationConfig cfg = golden_config();
+    cfg.timeseries = &ts;
+    const auto r = sim::simulate(w, golden_cluster(), *est, *pol, cfg);
     EXPECT_EQ(r.completed, g.completed);
     EXPECT_EQ(r.attempts, g.attempts);
     EXPECT_EQ(r.resource_failures, g.resource_failures);
@@ -131,104 +101,43 @@ TEST(PerfEquivalence, OptimizedEngineMatchesSeedGoldens) {
   }
 }
 
-void expect_bitwise_equal(const sim::SimulationResult& a,
-                          const sim::SimulationResult& b,
-                          const sim::TimeSeries& ts_a,
-                          const sim::TimeSeries& ts_b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.resource_failures, b.resource_failures);
-  EXPECT_EQ(a.intrinsic_failed, b.intrinsic_failed);
-  EXPECT_EQ(a.dropped_unschedulable, b.dropped_unschedulable);
-  EXPECT_EQ(a.dropped_attempt_cap, b.dropped_attempt_cap);
-  EXPECT_EQ(a.lowered_starts, b.lowered_starts);
-  EXPECT_EQ(a.benefiting_jobs, b.benefiting_jobs);
-  EXPECT_EQ(a.benefiting_nodes, b.benefiting_nodes);
-  // Exact double comparison is deliberate: both engines run in this
-  // process, so identical decisions imply identical arithmetic.
-  EXPECT_EQ(a.utilization, b.utilization);
-  EXPECT_EQ(a.wasted_fraction, b.wasted_fraction);
-  EXPECT_EQ(a.mean_wait, b.mean_wait);
-  EXPECT_EQ(a.mean_slowdown, b.mean_slowdown);
-  EXPECT_EQ(a.mean_bounded_slowdown, b.mean_bounded_slowdown);
-  EXPECT_EQ(a.p95_slowdown, b.p95_slowdown);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.throughput_per_hour, b.throughput_per_hour);
-  ASSERT_EQ(a.pool_utilization.size(), b.pool_utilization.size());
-  for (std::size_t i = 0; i < a.pool_utilization.size(); ++i) {
-    EXPECT_EQ(a.pool_utilization[i].capacity, b.pool_utilization[i].capacity);
-    EXPECT_EQ(a.pool_utilization[i].busy_fraction,
-              b.pool_utilization[i].busy_fraction);
-  }
-  ASSERT_EQ(ts_a.points().size(), ts_b.points().size());
-  for (std::size_t i = 0; i < ts_a.points().size(); ++i) {
-    EXPECT_EQ(ts_a.points()[i].time, ts_b.points()[i].time);
-    EXPECT_EQ(ts_a.points()[i].busy_fraction, ts_b.points()[i].busy_fraction);
-    EXPECT_EQ(ts_a.points()[i].queue_length, ts_b.points()[i].queue_length);
-    EXPECT_EQ(ts_a.points()[i].running_jobs, ts_b.points()[i].running_jobs);
-  }
-}
-
-TEST(PerfEquivalence, BaselineAndOptimizedEnginesBitIdentical) {
+TEST(PerfEquivalence, GoldenGridDigestsFromEveryEntryPoint) {
   const trace::Workload w = golden_workload();
-  for (const char* policy : {"fcfs", "sjf", "easy-backfill"}) {
-    for (const char* estimator :
-         {"none", "successive-approximation", "last-instance"}) {
-      SCOPED_TRACE(std::string(policy) + " / " + estimator);
-      sim::TimeSeries ts_base(50.0), ts_opt(50.0);
-      const auto base =
-          run_once(w, policy, estimator, /*baseline=*/true, &ts_base);
-      const auto opt =
-          run_once(w, policy, estimator, /*baseline=*/false, &ts_opt);
-      expect_bitwise_equal(base, opt, ts_base, ts_opt);
+  for (std::size_t p = 0; p < std::size(golden::kPolicies); ++p) {
+    for (std::size_t e = 0; e < std::size(golden::kEstimators); ++e) {
+      SCOPED_TRACE(std::string(golden::kPolicies[p]) + " / " +
+                   golden::kEstimators[e]);
+      golden::expect_every_entry_point(
+          golden::kGridDigests[p][e], w, golden_cluster(),
+          golden::kPolicies[p], golden::kEstimators[e], golden_config());
     }
   }
 }
 
-// Property: equivalence holds under RANDOMIZED availability schedules, not
-// just the pinned one — machines joining and leaving exercise the
-// incremental pool counters' drain bookkeeping and the pending-capacity
-// hold logic on both engine paths.
-TEST(PerfEquivalence, RandomizedAvailabilityProperty) {
-  const trace::Workload w = [] {
-    trace::Workload base = trace::generate_cm5_small(29, 400);
-    base = trace::drop_wide_jobs(std::move(base), 256);
-    base = trace::scale_to_load(std::move(base), 256, 0.85);
-    return trace::sort_by_submit(std::move(base));
-  }();
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    util::Rng rng(1000 + trial);
-    sim::SimulationConfig cfg;
-    cfg.seed = 7 + trial;
-    cfg.explicit_feedback = true;
-    const int n_events = static_cast<int>(rng.uniform_int(1, 4));
-    for (int i = 0; i < n_events; ++i) {
-      sim::AvailabilityEvent ev;
-      ev.time = rng.uniform(500.0, 20000.0);
-      ev.capacity = rng.bernoulli(0.5) ? 32.0 : 24.0;
-      ev.delta = rng.uniform_int(-48, 48);
-      if (ev.delta == 0) ev.delta = 8;
-      cfg.availability.push_back(ev);
-    }
-    for (const char* policy : {"fcfs", "sjf", "easy-backfill"}) {
-      SCOPED_TRACE("trial " + std::to_string(trial) + " / " + policy);
-      sim::TimeSeries ts_base(50.0), ts_opt(50.0);
-      const auto est_b = core::make_estimator("successive-approximation");
-      const auto pol_b = sched::make_policy(policy);
-      auto cfg_b = cfg;
-      cfg_b.baseline_loop = true;
-      cfg_b.timeseries = &ts_base;
-      const auto base =
-          sim::simulate(w, golden_cluster(), *est_b, *pol_b, cfg_b);
+/// Seed-engine digests of churn_config(1000 + trial, trial) under
+/// successive approximation, by trial and policy (golden::kPolicies).
+constexpr std::uint64_t kChurnDigests[6][3] = {
+    {0x13226314BD9B6D34ULL, 0x03D17DB8B896E21EULL, 0x7F4D1251861711C4ULL},
+    {0xAD544586537C87B9ULL, 0xB984904423DF52B0ULL, 0x8F2A14D4AEB295CCULL},
+    {0x151DB377C7DDFE43ULL, 0xC67B8ADDEF9ACD1DULL, 0x2230264CE14D63A1ULL},
+    {0x9DC7F72F50752105ULL, 0x616168CB96037ED3ULL, 0xAA67D30E66B69294ULL},
+    {0x4D484E22B33E1289ULL, 0xA077DC540AFD98F5ULL, 0x28550707492230D0ULL},
+    {0x52346978F663F200ULL, 0xD8BC41A75C4FC8A1ULL, 0x85EA9674EDB6D200ULL},
+};
 
-      const auto est_o = core::make_estimator("successive-approximation");
-      const auto pol_o = sched::make_policy(policy);
-      auto cfg_o = cfg;
-      cfg_o.baseline_loop = false;
-      cfg_o.timeseries = &ts_opt;
-      const auto opt =
-          sim::simulate(w, golden_cluster(), *est_o, *pol_o, cfg_o);
-      expect_bitwise_equal(base, opt, ts_base, ts_opt);
+// Randomized availability schedules, not just the pinned one: machines
+// joining and leaving exercise the incremental pool counters' drain
+// bookkeeping and the pending-capacity hold logic.
+TEST(PerfEquivalence, RandomizedAvailabilityDigests) {
+  const trace::Workload w = golden::churn_workload();
+  for (std::uint64_t trial = 0; trial < 6; ++trial) {
+    const sim::SimulationConfig cfg = golden::churn_config(1000 + trial, trial);
+    for (std::size_t p = 0; p < std::size(golden::kPolicies); ++p) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " / " +
+                   golden::kPolicies[p]);
+      golden::expect_every_entry_point(kChurnDigests[trial][p], w,
+                                       golden_cluster(), golden::kPolicies[p],
+                                       "successive-approximation", cfg);
     }
   }
 }
