@@ -1,19 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: estimator
-// estimate/feedback cycles, cluster allocation, ClassAd evaluation, event
-// queue churn, and synthetic trace generation throughput — plus an
-// end-to-end simulator benchmark (events/sec, schedule-pass p95) that A/Bs
-// the optimized engine against the pre-optimization reference loop.
+// estimate/feedback cycles, cluster allocation, ClassAd evaluation, and
+// synthetic trace generation throughput — plus an end-to-end simulator
+// benchmark (events/sec, schedule-pass p95).
 //
 // Extra flags (in addition to the google-benchmark ones):
 //   --sim-only          run only the end-to-end simulator benchmark
 //   --sim-jobs=N        trace size for the simulator benchmark (def. 3000)
-//   --baseline-loop     measure ONLY the reference engine (A/B anchor)
 //   --metrics-out=PATH  write a schema-v1 BENCH_sim.json record
-//   --scale             run ONLY the cluster-scale engine comparison:
-//                       heap vs calendar engines, materialized vs streamed
-//                       traces, sharded integration — each arm in a forked
-//                       child so peak RSS is per-arm, with a hard internal
-//                       byte-equivalence gate across all arms
+//   --scale             run ONLY the cluster-scale comparison:
+//                       materialized vs streamed traces, each arm in a
+//                       forked child so peak RSS is per-arm, with a hard
+//                       internal byte-equivalence gate across the arms
 //   --scale-jobs=N      trace size for --scale (default 200000)
 //   --scale-machines=N  cluster size for --scale (default 100000)
 #include <benchmark/benchmark.h>
@@ -34,13 +31,11 @@
 #include "obs/metrics.hpp"
 #include "sched/factory.hpp"
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeseries.hpp"
 #include "trace/cm5_model.hpp"
 #include "trace/job_stream.hpp"
 #include "trace/transforms.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -121,19 +116,6 @@ void BM_ClassAdMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassAdMatch);
 
-void BM_EventQueueChurn(benchmark::State& state) {
-  sim::EventQueue<std::size_t> queue;
-  util::Rng rng(1);
-  for (std::size_t i = 0; i < 1024; ++i) queue.push(rng.uniform(), i);
-  for (auto _ : state) {
-    const auto event = queue.pop();
-    queue.push(event.time + rng.uniform(), event.payload);
-    benchmark::DoNotOptimize(event.payload);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventQueueChurn);
-
 void BM_TraceGeneration(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -162,7 +144,7 @@ struct SimBench {
 /// event count is exact: every arrival is one event, every start pushes
 /// exactly one job-end event, and this setup schedules no availability
 /// changes — so events = submitted + attempts.
-SimBench run_sim_bench(std::size_t trace_jobs, bool baseline) {
+SimBench run_sim_bench(std::size_t trace_jobs) {
   trace::Workload w = trace::generate_cm5_small(11, trace_jobs);
   w = trace::drop_wide_jobs(std::move(w), 4096);
   w = trace::scale_to_load(std::move(w), 4096, 0.95);
@@ -177,7 +159,6 @@ SimBench run_sim_bench(std::size_t trace_jobs, bool baseline) {
   cfg.explicit_feedback = true;
   cfg.timeseries = &ts;
   cfg.metrics = &registry;
-  cfg.baseline_loop = baseline;
 
   SimBench out;
   const auto start = std::chrono::steady_clock::now();
@@ -201,11 +182,10 @@ SimBench run_sim_bench(std::size_t trace_jobs, bool baseline) {
 /// Best-of-N: a single run lasts milliseconds, so one descheduling blip
 /// can swamp it; the fastest repetition is the standard noise-robust
 /// estimate of the engine's actual cost.
-SimBench run_sim_bench_best(std::size_t trace_jobs, bool baseline,
-                            int reps = 5) {
-  SimBench best = run_sim_bench(trace_jobs, baseline);
+SimBench run_sim_bench_best(std::size_t trace_jobs, int reps = 5) {
+  SimBench best = run_sim_bench(trace_jobs);
   for (int i = 1; i < reps; ++i) {
-    SimBench next = run_sim_bench(trace_jobs, baseline);
+    SimBench next = run_sim_bench(trace_jobs);
     if (next.wall_seconds < best.wall_seconds) best = std::move(next);
   }
   return best;
@@ -217,8 +197,7 @@ void print_sim_row(const char* engine, std::size_t jobs, const SimBench& b) {
               b.events_per_sec, b.schedule_p95_us);
 }
 
-int run_sim_section(std::size_t sim_jobs, bool baseline_only,
-                    const std::string& metrics_out) {
+int run_sim_section(std::size_t sim_jobs, const std::string& metrics_out) {
   std::printf("== simulator end-to-end (fcfs + successive-approximation, "
               "4096 machines) ==\n");
   std::printf("%-10s  %8s  %10s  %8s  %12s  %14s\n", "engine", "jobs",
@@ -226,44 +205,16 @@ int run_sim_section(std::size_t sim_jobs, bool baseline_only,
 
   obs::BenchRecord record("micro_core_sim");
   record.config("sim_jobs", static_cast<std::int64_t>(sim_jobs));
-  record.config("baseline_loop", baseline_only ? "1" : "0");
   record.config("policy", "fcfs");
   record.config("estimator", "successive-approximation");
   record.config("machines", static_cast<std::int64_t>(4096));
 
-  if (baseline_only) {
-    const SimBench base = run_sim_bench_best(sim_jobs, /*baseline=*/true);
-    print_sim_row("baseline", sim_jobs, base);
-    record.summary("events_total", static_cast<double>(base.events));
-    record.summary("wall_seconds", base.wall_seconds);
-    record.summary("events_per_sec", base.events_per_sec);
-    record.summary("schedule_p95_us", base.schedule_p95_us);
-  } else {
-    const SimBench opt = run_sim_bench_best(sim_jobs, /*baseline=*/false);
-    const SimBench base = run_sim_bench_best(sim_jobs, /*baseline=*/true);
-    print_sim_row("optimized", sim_jobs, opt);
-    print_sim_row("baseline", sim_jobs, base);
-    if (opt.result.completed != base.result.completed ||
-        opt.result.utilization != base.result.utilization) {
-      std::fprintf(stderr,
-                   "error: engines disagree (completed %zu vs %zu) — "
-                   "decision equivalence is broken\n",
-                   opt.result.completed, base.result.completed);
-      return 1;
-    }
-    const double speedup = base.events_per_sec > 0.0
-                               ? opt.events_per_sec / base.events_per_sec
-                               : 0.0;
-    std::printf("speedup vs baseline loop: %.2fx (decisions identical)\n",
-                speedup);
-    record.summary("events_total", static_cast<double>(opt.events));
-    record.summary("wall_seconds", opt.wall_seconds);
-    record.summary("events_per_sec", opt.events_per_sec);
-    record.summary("schedule_p95_us", opt.schedule_p95_us);
-    record.summary("events_per_sec_baseline", base.events_per_sec);
-    record.summary("schedule_p95_us_baseline", base.schedule_p95_us);
-    record.summary("speedup_vs_baseline", speedup);
-  }
+  const SimBench best = run_sim_bench_best(sim_jobs);
+  print_sim_row("sim", sim_jobs, best);
+  record.summary("events_total", static_cast<double>(best.events));
+  record.summary("wall_seconds", best.wall_seconds);
+  record.summary("events_per_sec", best.events_per_sec);
+  record.summary("schedule_p95_us", best.schedule_p95_us);
   if (!metrics_out.empty()) {
     if (!record.write(metrics_out)) {
       std::fprintf(stderr, "warning: could not write %s\n",
@@ -275,18 +226,16 @@ int run_sim_section(std::size_t sim_jobs, bool baseline_only,
   return 0;
 }
 
-// --- cluster-scale engine comparison ------------------------------------
+// --- cluster-scale comparison -------------------------------------------
 //
-// Five arms over one scenario, each in a forked child so the parent can
+// Two arms over one scenario, each in a forked child so the parent can
 // read the child's peak RSS from wait4() (process-wide peaks are sticky,
-// so arms sharing a process would all report the largest one):
+// so arms sharing a process would both report the larger one):
 //
-//   heap       materialized trace, pre-calendar heap engine (anchor)
-//   calendar   materialized trace, merge engine (the default)
-//   streamed   on-the-fly CM5 generation into the merge engine
-//   shards1/4  streamed + sharded pool integration (1 and 4 workers)
+//   calendar   materialized trace
+//   streamed   on-the-fly CM5 generation, O(jobs in flight) memory
 //
-// Every arm must produce a byte-identical result digest; a mismatch is a
+// Both arms must produce a byte-identical result digest; a mismatch is a
 // hard failure, making this bench double as the cluster-scale
 // determinism gate CI runs at reduced size.
 
@@ -318,31 +267,16 @@ struct ScaleWire {
   }
 };
 
-enum class ScaleArm {
-  kHeap,
-  kCalendar,
-  kStreamed,
-  kShards1,
-  kShards4,
-  kBaseline
-};
+enum class ScaleArm { kCalendar, kStreamed };
 
 const char* scale_arm_name(ScaleArm arm) {
-  switch (arm) {
-    case ScaleArm::kHeap: return "heap";
-    case ScaleArm::kCalendar: return "calendar";
-    case ScaleArm::kStreamed: return "streamed";
-    case ScaleArm::kShards1: return "shards1";
-    case ScaleArm::kShards4: return "shards4";
-    case ScaleArm::kBaseline: return "baseline";
-  }
-  return "?";
+  return arm == ScaleArm::kCalendar ? "calendar" : "streamed";
 }
 
 /// The full CM5 calibration scaled to the requested population. Few
 /// capacity classes on purpose: pool integration is O(#pools) per event,
-/// and burying the event-queue comparison under a huge pool scan would
-/// measure the wrong thing.
+/// and burying the event loop under a huge pool scan would measure the
+/// wrong thing.
 trace::Cm5ModelConfig scale_model(std::size_t jobs, std::size_t machines) {
   trace::Cm5ModelConfig cfg;
   cfg.seed = 11;
@@ -369,28 +303,15 @@ ScaleWire run_scale_arm(std::size_t jobs, std::size_t machines,
   sim::SimulationConfig cfg;
   cfg.seed = 7;
   cfg.explicit_feedback = true;
-  if (arm == ScaleArm::kHeap) cfg.heap_queue = true;
-  if (arm == ScaleArm::kShards1) cfg.shards = 1;
-  if (arm == ScaleArm::kShards4) cfg.shards = 4;
-  if (arm == ScaleArm::kBaseline) {
-    // The preserved seed engine: binary heap + pre-optimization event
-    // loop. Decision-equivalent to every other arm (perf_equiv_test),
-    // so it anchors the "engine vs where we started" speedup at scale.
-    cfg.heap_queue = true;
-    cfg.baseline_loop = true;
-  }
 
-  // Trace acquisition stays OUTSIDE the timer for every arm (the
-  // streamed arms' stream constructor is their generation pass); the
+  // Trace acquisition stays OUTSIDE the timer for both arms (the
+  // streamed arm's stream constructor is its generation pass); the
   // timed region is simulate() alone. Peak RSS covers the whole child —
-  // materialized arms pay for the vector, streamed arms don't, which is
-  // exactly the memory claim this bench records.
+  // the materialized arm pays for the vector, the streamed arm doesn't,
+  // which is exactly the memory claim this bench records.
   sim::SimulationResult result;
   double wall = 0.0;
-  const bool streamed = arm == ScaleArm::kStreamed ||
-                        arm == ScaleArm::kShards1 ||
-                        arm == ScaleArm::kShards4;
-  if (streamed) {
+  if (arm == ScaleArm::kStreamed) {
     trace::Cm5JobStream stream(model);
     const auto start = std::chrono::steady_clock::now();
     result = sim::simulate(stream, spec, *estimator, *policy, cfg);
@@ -466,18 +387,13 @@ bool run_scale_arm_forked(std::size_t jobs, std::size_t machines,
 
 int run_scale_section(std::size_t jobs, std::size_t machines,
                       const std::string& metrics_out) {
-  std::printf("== cluster-scale engines (fcfs + successive-approximation, "
+  std::printf("== cluster-scale simulation (fcfs + successive-approximation, "
               "%zu machines, %zu jobs) ==\n",
               machines, jobs);
   std::printf("%-10s  %10s  %8s  %12s  %12s\n", "arm", "events", "wall s",
               "events/s", "peak MiB");
 
-  // The baseline arm (seed engine: binary heap + pre-optimization loop)
-  // runs last: it is the slowest by far at cluster scale, and its only
-  // job is anchoring the "engine vs where we started" speedup.
-  constexpr ScaleArm kArms[] = {ScaleArm::kHeap,    ScaleArm::kCalendar,
-                                ScaleArm::kStreamed, ScaleArm::kShards1,
-                                ScaleArm::kShards4,  ScaleArm::kBaseline};
+  constexpr ScaleArm kArms[] = {ScaleArm::kCalendar, ScaleArm::kStreamed};
   constexpr std::size_t kArmCount = std::size(kArms);
   ScaleWire wires[kArmCount];
   double rss[kArmCount] = {};
@@ -510,13 +426,10 @@ int run_scale_section(std::size_t jobs, std::size_t machines,
       return 1;
     }
   }
-  const double speedup = eps[0] > 0.0 ? eps[1] / eps[0] : 0.0;
-  const double speedup_vs_baseline = eps[5] > 0.0 ? eps[1] / eps[5] : 0.0;
-  const double rss_ratio = rss[1] > 0.0 ? rss[2] / rss[1] : 0.0;
-  std::printf("calendar vs heap: %.2fx events/s; calendar vs seed baseline "
-              "loop: %.2fx; streamed peak RSS %.2fx of materialized (all "
-              "arms byte-identical)\n",
-              speedup, speedup_vs_baseline, rss_ratio);
+  const double rss_ratio = rss[0] > 0.0 ? rss[1] / rss[0] : 0.0;
+  std::printf("streamed peak RSS %.2fx of materialized (arms "
+              "byte-identical)\n",
+              rss_ratio);
 
   if (!metrics_out.empty()) {
     obs::BenchRecord record("micro_core_scale");
@@ -525,18 +438,10 @@ int run_scale_section(std::size_t jobs, std::size_t machines,
     record.config("policy", "fcfs");
     record.config("estimator", "successive-approximation");
     record.summary("events_total", static_cast<double>(wires[0].events));
-    record.summary("events_per_sec_heap", eps[0]);
-    record.summary("events_per_sec_calendar", eps[1]);
-    record.summary("events_per_sec_streamed", eps[2]);
-    record.summary("events_per_sec_shards1", eps[3]);
-    record.summary("events_per_sec_shards4", eps[4]);
-    record.summary("events_per_sec_baseline", eps[5]);
-    record.summary("speedup_calendar_vs_heap", speedup);
-    record.summary("speedup_calendar_vs_baseline", speedup_vs_baseline);
-    record.summary("peak_rss_mib_heap", rss[0]);
-    record.summary("peak_rss_mib_calendar", rss[1]);
-    record.summary("peak_rss_mib_streamed", rss[2]);
-    record.summary("peak_rss_mib_shards4", rss[4]);
+    record.summary("events_per_sec_calendar", eps[0]);
+    record.summary("events_per_sec_streamed", eps[1]);
+    record.summary("peak_rss_mib_calendar", rss[0]);
+    record.summary("peak_rss_mib_streamed", rss[1]);
     record.summary("rss_ratio_streamed_vs_materialized", rss_ratio);
     record.summary("equivalence_ok", 1.0);
     if (!record.write(metrics_out)) {
@@ -555,7 +460,6 @@ int run_scale_section(std::size_t jobs, std::size_t machines,
 // google-benchmark (BENCHMARK_MAIN would reject them).
 int main(int argc, char** argv) {
   bool sim_only = false;
-  bool baseline_loop = false;
   bool scale = false;
   std::size_t sim_jobs = 3000;
   std::size_t scale_jobs = 200000;
@@ -568,8 +472,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--sim-only") {
       sim_only = true;
-    } else if (arg == "--baseline-loop") {
-      baseline_loop = true;
     } else if (arg == "--scale") {
       scale = true;
     } else if (arg.rfind("--sim-jobs=", 0) == 0) {
@@ -602,5 +504,5 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
   }
-  return run_sim_section(sim_jobs, baseline_loop, metrics_out);
+  return run_sim_section(sim_jobs, metrics_out);
 }

@@ -1,6 +1,6 @@
 // Scenario-diversity sweep: run every workload-catalog scenario
 // (SCENARIOS.md) through the multi-resource engine across an estimator
-// grid, and gate the engine's dims=1 path against the scalar simulator.
+// grid.
 //
 // Flags (util::CliArgs; unknown options are an error):
 //   --scenario=all|NAME   scenarios to run (default all synthetic models)
@@ -15,25 +15,16 @@
 //   --metrics-out=PATH    schema-v1 BENCH_scenarios.json record
 //   --swf=PATH            also replay an SWF trace through the
 //                         stream-factory sweep (one stream per arm)
-//   --gate-dims1          run ONLY the equivalence gate: for every
-//                         synthetic scenario and estimator arm, the MR
-//                         engine at dims=1 must reproduce sim::simulate()
-//                         field for field (exact doubles); exit 1 on any
-//                         mismatch
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/factory.hpp"
-#include "core/multi_resource.hpp"
 #include "exp/experiment.hpp"
 #include "exp/scenarios.hpp"
 #include "obs/bench_record.hpp"
 #include "obs/metrics.hpp"
-#include "sched/factory.hpp"
 #include "sim/mr_simulator.hpp"
 #include "trace/job_stream.hpp"
 #include "trace/scenario.hpp"
@@ -56,114 +47,6 @@ std::vector<std::string> split_csv(const std::string& value) {
   }
   if (!item.empty()) out.push_back(item);
   return out;
-}
-
-/// Exact comparison of every SimulationResult field; prints the first
-/// mismatch. Doubles compare with == on purpose: the gate's contract is
-/// bitwise decision equivalence, not tolerance.
-bool results_equal(const char* label, const sim::SimulationResult& a,
-                   const sim::SimulationResult& b) {
-  bool ok = true;
-  auto check = [&](const char* field, double x, double y) {
-    if (x == y || (std::isnan(x) && std::isnan(y))) return;
-    std::fprintf(stderr, "GATE MISMATCH %s: %s scalar=%.17g mr=%.17g\n",
-                 label, field, x, y);
-    ok = false;
-  };
-  check("submitted", static_cast<double>(a.submitted),
-        static_cast<double>(b.submitted));
-  check("completed", static_cast<double>(a.completed),
-        static_cast<double>(b.completed));
-  check("intrinsic_failed", static_cast<double>(a.intrinsic_failed),
-        static_cast<double>(b.intrinsic_failed));
-  check("dropped_unschedulable", static_cast<double>(a.dropped_unschedulable),
-        static_cast<double>(b.dropped_unschedulable));
-  check("dropped_attempt_cap", static_cast<double>(a.dropped_attempt_cap),
-        static_cast<double>(b.dropped_attempt_cap));
-  check("attempts", static_cast<double>(a.attempts),
-        static_cast<double>(b.attempts));
-  check("resource_failures", static_cast<double>(a.resource_failures),
-        static_cast<double>(b.resource_failures));
-  check("lowered_starts", static_cast<double>(a.lowered_starts),
-        static_cast<double>(b.lowered_starts));
-  check("makespan", a.makespan, b.makespan);
-  check("offered_load", a.offered_load, b.offered_load);
-  check("utilization", a.utilization, b.utilization);
-  check("wasted_fraction", a.wasted_fraction, b.wasted_fraction);
-  check("mean_wait", a.mean_wait, b.mean_wait);
-  check("mean_slowdown", a.mean_slowdown, b.mean_slowdown);
-  check("mean_bounded_slowdown", a.mean_bounded_slowdown,
-        b.mean_bounded_slowdown);
-  check("p95_slowdown", a.p95_slowdown, b.p95_slowdown);
-  check("throughput_per_hour", a.throughput_per_hour, b.throughput_per_hour);
-  check("benefiting_jobs", static_cast<double>(a.benefiting_jobs),
-        static_cast<double>(b.benefiting_jobs));
-  check("benefiting_nodes", static_cast<double>(a.benefiting_nodes),
-        static_cast<double>(b.benefiting_nodes));
-  check("granted_mib_nodes", a.granted_mib_nodes, b.granted_mib_nodes);
-  check("used_mib_nodes", a.used_mib_nodes, b.used_mib_nodes);
-  if (a.pool_utilization.size() != b.pool_utilization.size()) {
-    std::fprintf(stderr, "GATE MISMATCH %s: pool_utilization size\n", label);
-    ok = false;
-  } else {
-    for (std::size_t i = 0; i < a.pool_utilization.size(); ++i) {
-      check("pool_utilization.capacity", a.pool_utilization[i].capacity,
-            b.pool_utilization[i].capacity);
-      check("pool_utilization.busy_fraction",
-            a.pool_utilization[i].busy_fraction,
-            b.pool_utilization[i].busy_fraction);
-    }
-  }
-  return ok;
-}
-
-/// The dims=1 A/B replay: scalar engine vs MR engine over the same base
-/// workload (flat footprints via trace::scenario_from).
-int run_gate(const std::vector<std::string>& scenarios,
-             const std::vector<std::string>& estimators,
-             const std::string& policy_name, std::uint64_t seed,
-             std::uint64_t sim_seed, std::size_t job_count) {
-  bool all_ok = true;
-  const sim::ClusterSpec cluster = exp::scenario_cluster(1);
-  for (const auto& scenario_name : scenarios) {
-    const trace::ScenarioWorkload scenario =
-        exp::make_scenario(scenario_name, seed, job_count);
-    const trace::ScenarioWorkload flat = trace::scenario_from(scenario.base);
-    for (const auto& estimator_name : estimators) {
-      sim::SimulationConfig config;
-      config.seed = sim_seed;
-      if (core::requires_explicit_feedback(estimator_name)) {
-        config.explicit_feedback = true;
-      }
-
-      auto scalar_est = core::make_estimator(estimator_name);
-      auto scalar_policy = sched::make_policy(policy_name);
-      const sim::SimulationResult scalar = sim::simulate(
-          scenario.base, cluster, *scalar_est, *scalar_policy, config);
-
-      core::VectorEstimatorConfig est_cfg;
-      est_cfg.dims = 1;
-      est_cfg.estimator = estimator_name;
-      core::VectorEstimator vec_est(est_cfg);
-      auto mr_policy = sched::make_policy(policy_name);
-      sim::MrSimulationConfig mr_cfg;
-      mr_cfg.base = config;
-      mr_cfg.dims = 1;
-      const sim::MrSimulationResult mr =
-          sim::simulate_mr(flat, cluster, vec_est, *mr_policy, mr_cfg);
-
-      const std::string label = scenario_name + "/" + estimator_name;
-      if (results_equal(label.c_str(), scalar, mr.base)) {
-        std::printf("gate OK   %-32s attempts=%zu kills=%zu\n", label.c_str(),
-                    scalar.attempts, scalar.resource_failures);
-      } else {
-        all_ok = false;
-      }
-    }
-  }
-  std::printf(all_ok ? "dims=1 equivalence gate: PASS\n"
-                     : "dims=1 equivalence gate: FAIL\n");
-  return all_ok ? 0 : 1;
 }
 
 std::string underscored(std::string name) {
@@ -194,7 +77,6 @@ int main(int argc, char** argv) {
   const std::string csv = cli.get("csv", std::string{});
   const std::string metrics_out = cli.get("metrics-out", std::string{});
   const std::string swf = cli.get("swf", std::string{});
-  const bool gate = cli.get("gate-dims1", false);
   if (!cli.unused().empty()) {
     for (const auto& key : cli.unused()) {
       std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
@@ -202,7 +84,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "known options: --scenario --estimators --dims --trace-jobs "
                  "--jobs --seed --sim-seed --policy --csv --metrics-out "
-                 "--swf --gate-dims1\n");
+                 "--swf\n");
     return 2;
   }
 
@@ -211,10 +93,6 @@ int main(int argc, char** argv) {
     scenarios = exp::scenario_names();
   } else {
     scenarios = split_csv(scenario_arg);
-  }
-
-  if (gate) {
-    return run_gate(scenarios, estimators, policy, seed, sim_seed, trace_jobs);
   }
 
   obs::Registry registry;

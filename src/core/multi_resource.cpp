@@ -72,10 +72,16 @@ VectorEstimator::VectorEstimator(VectorEstimatorConfig config)
   if (config_.dims < 1 || config_.dims > kMaxResourceDims) {
     throw std::invalid_argument("VectorEstimator: dims out of range");
   }
-  dims_est_.reserve(config_.dims);
+  owned_.reserve(config_.dims);
   for (std::size_t d = 0; d < config_.dims; ++d) {
-    dims_est_.push_back(make_estimator(config_.estimator, config_.options));
+    owned_.push_back(make_estimator(config_.estimator, config_.options));
+    dims_est_[d] = owned_.back().get();
   }
+}
+
+VectorEstimator::VectorEstimator(Estimator& scalar) {
+  config_.estimator = scalar.name();
+  dims_est_[0] = &scalar;
 }
 
 bool VectorEstimator::requires_explicit_feedback() const {
@@ -83,7 +89,10 @@ bool VectorEstimator::requires_explicit_feedback() const {
 }
 
 void VectorEstimator::set_ladder(std::size_t dim, CapacityLadder ladder) {
-  dims_est_.at(dim)->set_ladder(std::move(ladder));
+  if (dim >= config_.dims) {
+    throw std::out_of_range("VectorEstimator::set_ladder: dim out of range");
+  }
+  dims_est_[dim]->set_ladder(std::move(ladder));
 }
 
 trace::JobRecord VectorEstimator::shim(const trace::JobRecord& job,

@@ -89,7 +89,9 @@ class MultiResourceEstimator {
 // every call passes the JobRecord through UNCHANGED to the underlying
 // estimator, so a dims=1 VectorEstimator is bit-for-bit the scalar
 // estimator it wraps. Higher dimensions see a shim record whose
-// requested/used memory fields carry that dimension's coordinates.
+// requested/used memory fields carry that dimension's coordinates. The
+// simulator relies on this: scalar runs are dims=1 runs over a
+// VectorEstimator that borrows the caller's Estimator.
 // ---------------------------------------------------------------------------
 
 struct VectorEstimatorConfig {
@@ -113,6 +115,10 @@ struct VectorFeedback {
 class VectorEstimator {
  public:
   explicit VectorEstimator(VectorEstimatorConfig config);
+
+  /// A dims=1 view of a caller-owned scalar estimator (not owned; must
+  /// outlive this object). Every call reaches `scalar` unchanged.
+  explicit VectorEstimator(Estimator& scalar);
 
   [[nodiscard]] const std::string& estimator_name() const noexcept {
     return config_.estimator;
@@ -159,7 +165,9 @@ class VectorEstimator {
                                       std::size_t d) const;
 
   VectorEstimatorConfig config_;
-  std::vector<std::unique_ptr<Estimator>> dims_est_;
+  std::vector<std::unique_ptr<Estimator>> owned_;
+  /// Per-dimension estimators: owned_ entries, or one borrowed scalar.
+  std::array<Estimator*, kMaxResourceDims> dims_est_{};
 };
 
 }  // namespace resmatch::core

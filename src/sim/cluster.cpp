@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace resmatch::sim {
@@ -110,42 +111,40 @@ double Cluster::busy_fraction() const noexcept {
                            static_cast<double>(machines_));
 }
 
-Cluster::Pool* Cluster::find_pool(MiB capacity) {
+Cluster::Pool& Cluster::find_pool(MiB capacity, const char* caller) {
+  Pool* found = nullptr;
   for (auto& pool : pools_) {
-    if (std::fabs(pool.capacity - capacity) < 1e-9) return &pool;
+    if (std::fabs(pool.capacity - capacity) >= 1e-9) continue;
+    if (found != nullptr) {
+      throw std::invalid_argument(
+          std::string(caller) +
+          ": ambiguous capacity class (pools differ only in CPU/GPU)");
+    }
+    found = &pool;
   }
-  return nullptr;
+  if (found == nullptr) {
+    throw std::invalid_argument(
+        std::string(caller) + ": unknown capacity class (the ladder is fixed)");
+  }
+  return *found;
 }
 
 void Cluster::add_machines(MiB capacity, std::size_t count) {
-  Pool* pool = find_pool(capacity);
-  if (!pool) {
-    throw std::invalid_argument(
-        "add_machines: unknown capacity class (the ladder is fixed)");
-  }
-  pool->total += count;
-  pool->free += count;
+  Pool& pool = find_pool(capacity, "add_machines");
+  pool.total += count;
+  pool.free += count;
   machines_ += count;
-  log_delta(static_cast<std::size_t>(pool - pools_.data()), 0,
-            static_cast<std::int64_t>(count));
 }
 
 void Cluster::remove_machines(MiB capacity, std::size_t count) {
-  Pool* pool = find_pool(capacity);
-  if (!pool) {
-    throw std::invalid_argument("remove_machines: unknown capacity class");
-  }
-  const std::size_t removed = std::min(count, pool->total);
-  pool->total -= removed;
+  Pool& pool = find_pool(capacity, "remove_machines");
+  const std::size_t removed = std::min(count, pool.total);
+  pool.total -= removed;
   machines_ -= removed;
-  const std::size_t from_free = std::min(pool->free, removed);
-  pool->free -= from_free;
+  const std::size_t from_free = std::min(pool.free, removed);
+  pool.free -= from_free;
   // The rest are busy: they leave as their jobs finish.
-  pool->draining += removed - from_free;
-  // present = total + draining: the busy remainder cancels out, so only
-  // the machines that left immediately change what is physically here.
-  log_delta(static_cast<std::size_t>(pool - pools_.data()), 0,
-            -static_cast<std::int64_t>(from_free));
+  pool.draining += removed - from_free;
 }
 
 std::size_t Cluster::draining_count() const noexcept {
@@ -173,41 +172,7 @@ std::vector<Cluster::PoolSnapshot> Cluster::snapshot() const {
 
 std::optional<Allocation> Cluster::allocate(std::uint32_t nodes,
                                             MiB min_capacity) {
-  if (nodes == 0) return std::nullopt;
-  if (eligible_free(min_capacity) < nodes) return std::nullopt;
-
-  Allocation out;
-  out.nodes = nodes;
-  out.min_capacity = 0.0;
-  std::size_t remaining = nodes;
-
-  auto take_from = [&](std::size_t pool_index) {
-    Pool& p = pools_[pool_index];
-    if (p.capacity < min_capacity || p.free == 0) return;
-    const std::size_t take = std::min(p.free, remaining);
-    if (take == 0) return;
-    p.free -= take;
-    p.busy += take;
-    remaining -= take;
-    log_delta(pool_index, static_cast<std::int64_t>(take), 0);
-    out.pool_counts.emplace_back(pool_index, take);
-    out.min_capacity = out.min_capacity == 0.0
-                           ? p.capacity
-                           : std::min(out.min_capacity, p.capacity);
-  };
-
-  if (policy_ == AllocationPolicy::kBestFit) {
-    for (std::size_t i = 0; i < pools_.size() && remaining > 0; ++i) {
-      take_from(i);
-    }
-  } else {
-    for (std::size_t i = pools_.size(); i-- > 0 && remaining > 0;) {
-      take_from(i);
-    }
-  }
-  assert(remaining == 0);
-  busy_ += nodes;
-  return out;
+  return allocate_vec(nodes, ResourceVector(min_capacity), 1);
 }
 
 std::optional<Allocation> Cluster::allocate_vec(std::uint32_t nodes,
@@ -229,7 +194,6 @@ std::optional<Allocation> Cluster::allocate_vec(std::uint32_t nodes,
     p.free -= take;
     p.busy += take;
     remaining -= take;
-    log_delta(pool_index, static_cast<std::int64_t>(take), 0);
     out.pool_counts.emplace_back(pool_index, take);
     out.min_capacity = out.min_capacity == 0.0
                            ? p.capacity
@@ -261,8 +225,6 @@ void Cluster::release(const Allocation& allocation) {
     assert(p.busy >= count);
     p.busy -= count;
     assert(p.free <= p.total);
-    log_delta(pool_index, -static_cast<std::int64_t>(count),
-              -static_cast<std::int64_t>(departing));
   }
   assert(busy_ >= allocation.nodes);
   busy_ -= allocation.nodes;

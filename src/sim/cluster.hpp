@@ -127,14 +127,15 @@ class Cluster final : public sched::ClusterView {
 
   /// Add `count` machines of an EXISTING capacity class (the capacity
   /// ladder is fixed for the cluster's lifetime so estimators stay
-  /// consistent). Throws std::invalid_argument for unknown capacities.
+  /// consistent). Throws std::invalid_argument for unknown capacities and
+  /// for capacities shared by pools that differ in CPU/GPU (ambiguous).
   void add_machines(MiB capacity, std::size_t count);
 
   /// Remove `count` machines of a capacity class. Free machines leave
   /// immediately; busy ones drain — they depart as their jobs release
   /// them. Totals (and thus schedulability) drop immediately. Throws for
-  /// unknown capacities; removing more than the class holds clamps to
-  /// "remove them all".
+  /// unknown or ambiguous capacities, as add_machines does; removing more
+  /// than the class holds clamps to "remove them all".
   void remove_machines(MiB capacity, std::size_t count);
 
   /// Machines that have been removed but are still running jobs.
@@ -180,25 +181,6 @@ class Cluster final : public sched::ClusterView {
     return {p.capacity, p.busy, p.total + p.draining};
   }
 
-  // --- counter-change log (sharded simulation) ---------------------------
-
-  /// One bookkeeping change to a pool's (busy, present) counters, exactly
-  /// as pool_counters() would observe it.
-  struct PoolDelta {
-    std::uint32_t pool = 0;
-    std::int64_t dbusy = 0;
-    std::int64_t dpresent = 0;
-  };
-
-  /// Append every subsequent counter change to `log` (nullptr disables;
-  /// not owned). The sharded simulation engine replays this log against
-  /// shadow counters on worker threads: because each pool's deltas land
-  /// in the log in mutation order, any replayer reproduces the inline
-  /// counters — and any per-pool integral over them — bit for bit.
-  void set_delta_log(std::vector<PoolDelta>* log) noexcept {
-    delta_log_ = log;
-  }
-
   [[nodiscard]] const std::vector<PoolSpec>& spec() const noexcept {
     return spec_;
   }
@@ -216,22 +198,16 @@ class Cluster final : public sched::ClusterView {
     ResourceVector cap{};
   };
 
-  Pool* find_pool(MiB capacity);
-
-  void log_delta(std::size_t pool, std::int64_t dbusy,
-                 std::int64_t dpresent) {
-    if (delta_log_ != nullptr && (dbusy != 0 || dpresent != 0)) {
-      delta_log_->push_back(
-          {static_cast<std::uint32_t>(pool), dbusy, dpresent});
-    }
-  }
+  /// The one pool of memory capacity `capacity`. Throws
+  /// std::invalid_argument (prefixed with `caller`) when no pool or more
+  /// than one pool (same memory, different CPU/GPU) has it.
+  Pool& find_pool(MiB capacity, const char* caller);
 
   ClusterSpec spec_;
   std::vector<Pool> pools_;  // ascending capacity
   AllocationPolicy policy_;
   std::size_t machines_ = 0;
   std::size_t busy_ = 0;
-  std::vector<PoolDelta>* delta_log_ = nullptr;
 };
 
 }  // namespace resmatch::sim

@@ -6,18 +6,12 @@
 //
 // The heap is an explicit vector driven by std::push_heap/std::pop_heap
 // rather than a std::priority_queue: priority_queue::top() returns a
-// const reference, which forced pop() to deep-copy the top event — a
-// per-event payload copy on the simulator's hottest path. pop_heap moves
-// the top element to the back of the vector, where pop() can move the
-// whole event out. This also admits move-only payloads.
+// const reference, which would force pop() to deep-copy the top event.
+// pop_heap moves the top element to the back of the vector, where pop()
+// can move the whole event out. This also admits move-only payloads.
 //
-// Growth policy for cluster-scale runs (10M+ events): callers that know
-// the event population up front should reserve() it — the doubling growth
-// of an unreserved vector re-copies the whole heap ~24 times on the way
-// to 10M entries. Conversely, a drained queue releases its backing store
-// once occupancy falls far below capacity, so a simulation whose pending
-// set shrinks from millions (all arrivals) to thousands (active jobs)
-// does not pin the peak footprint for the rest of the run.
+// The simulator runs on sim::CalendarQueue; this heap is the reference
+// ordering tests/calendar_queue_test checks it against.
 #pragma once
 
 #include <algorithm>
@@ -60,16 +54,7 @@ class EventQueue {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Event e = std::move(heap_.back());
     heap_.pop_back();
-    maybe_shrink();
     return e;
-  }
-
-  /// Pre-size the heap for a known event population (one allocation
-  /// instead of log2(n) doubling re-copies).
-  void reserve(std::size_t n) { heap_.reserve(n); }
-
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return heap_.capacity();
   }
 
  private:
@@ -79,25 +64,6 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-
-  /// Release the backing store when occupancy drops below 1/8 of a large
-  /// capacity. Keeping 2x headroom and only shrinking past the 1/8 mark
-  /// means repeated push/pop around a threshold can never thrash
-  /// (each shrink at least quarters the capacity). Element order is
-  /// untouched, so the heap invariant — and every popped sequence —
-  /// is unchanged.
-  void maybe_shrink() {
-    if (heap_.capacity() <= kShrinkFloor ||
-        heap_.size() >= heap_.capacity() / 8) {
-      return;
-    }
-    std::vector<Event> tight;
-    tight.reserve(std::max(heap_.size() * 2, std::size_t{64}));
-    std::move(heap_.begin(), heap_.end(), std::back_inserter(tight));
-    heap_.swap(tight);
-  }
-
-  static constexpr std::size_t kShrinkFloor = 1u << 16;
 
   std::vector<Event> heap_;  // max-heap under Later = min-(time, seq) first
   std::uint64_t next_seq_ = 0;

@@ -1,5 +1,5 @@
-// Multi-resource simulation engine: vector bin-packing over the same
-// event loop as sim::simulate().
+// Multi-resource simulation: vector bin-packing in the same event loop as
+// sim::simulate() (src/sim/simulator.cpp).
 //
 // Jobs carry a per-node request VECTOR (memory, CPU, GPU); pools advertise
 // a capacity vector; a machine qualifies only when it covers every
@@ -14,11 +14,10 @@
 // (low observed usage) and late kills (near-peak observed usage) give the
 // estimator genuinely different explicit feedback.
 //
-// Equivalence contract (CI-gated by tests/mr_equiv_test.cpp and
-// bench/scenario_sweep --gate-dims1): with dims == 1 and flat profiles
-// this engine makes byte-identical decisions to sim::simulate() — same
-// RNG draw sequence, same queue mechanics, same aggregates — because
-// every vector operation reduces to its scalar counterpart exactly.
+// Equivalence contract: sim::simulate() is this loop at dims == 1 over the
+// flat annotation of each record (trace::scenario_from), so a dims=1 run
+// over a flat-profile scenario makes byte-identical decisions to the
+// scalar entry points by construction. tests/mr_equiv_test.cpp pins it.
 #pragma once
 
 #include <array>
@@ -51,10 +50,10 @@ struct MrSimulationResult {
 
 /// Run one multi-resource simulation. `scenario.base.jobs` must be sorted
 /// by submit time and `scenario.mr` parallel to it (trace::scenario_from
-/// or one of the scenario generators). config.dims must not exceed
-/// scenario.dims. The estimator's per-dimension ladders are installed from
-/// the cluster. Unsupported base-config fields (baseline_loop, heap_queue,
-/// shards, runtime_predictor) throw std::invalid_argument.
+/// or one of the scenario generators). config.dims must be in
+/// [1, scenario.dims] and equal estimator.dims(); violations throw
+/// std::invalid_argument. The estimator's per-dimension ladders are
+/// installed from the cluster.
 [[nodiscard]] MrSimulationResult simulate_mr(
     const trace::ScenarioWorkload& scenario, const ClusterSpec& cluster_spec,
     core::VectorEstimator& estimator, sched::SchedulingPolicy& policy,

@@ -1,25 +1,23 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include <chrono>
-
+#include "core/multi_resource.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/mr_simulator.hpp"
 #include "sim/timeseries.hpp"
 #include "stats/percentile.hpp"
 #include "stats/summary.hpp"
-#include "svc/thread_pool.hpp"
 #include "trace/job_stream.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -28,24 +26,20 @@ namespace resmatch::sim {
 
 namespace {
 
-enum class EventKind { kArrival, kJobEnd, kAvailability };
-
-struct EventPayload {
-  EventKind kind = EventKind::kArrival;
-  /// Trace index (arrival), running slot (end), or availability index.
-  std::size_t index = 0;
-};
-
 /// Why an execution attempt ends.
 enum class Outcome { kSuccess, kResourceFailure, kIntrinsicFailure };
 
 struct RunningRecord {
-  std::size_t trace_index = 0;
+  std::size_t job_slot = 0;
   Allocation allocation;
-  MiB granted = 0.0;
+  ResourceVector granted{};
   Seconds start = 0.0;
-  Seconds expected_end = 0.0;  ///< per the user's runtime estimate
+  Seconds expected_end = 0.0;  ///< per the runtime input the policy saw
   Outcome outcome = Outcome::kSuccess;
+  /// Resource failure only: the dimension whose crossing fired first.
+  std::size_t culprit = kDimMem;
+  /// Resource failure only: timed by a footprint crossing, not a draw.
+  bool midjob = false;
   bool active = false;
 };
 
@@ -57,237 +51,146 @@ struct PoolIntegral {
 };
 
 // ---------------------------------------------------------------------------
-// Sharded occupancy integration.
+// The simulation loop, for scalar and vector runs alike.
 //
-// The simulation's decisions are inherently sequential (every scheduling
-// pass sees global state), but the per-event O(#pools) busy/present
-// integration is not: it is a fold over the history of counter values,
-// and the cluster can narrate that history as a delta log. K workers
-// replay the log against private shadow counters; worker w owns pools
-// with index % K == w and accumulates their integrals. Each pool's
-// integral is the same sequence of double adds the inline loop performs,
-// in the same order, on the same values — so the merged result is
-// bit-for-bit identical for ANY worker count, including the inline path.
+// Three independently ordered event sources are merged:
 //
-// The log ships in double-buffered batches: the main thread fills one
-// buffer while workers chew the other, with a condition-variable barrier
-// per batch (workers never touch a buffer the main thread is writing).
+//   class 0: the arrival stream, one-record lookahead;
+//   class 1: availability changes, a cursor over a pre-sorted index;
+//   class 2: job-end events, the only dynamic set, in a calendar queue
+//            sized by jobs *in flight*, not trace length.
+//
+// Smallest time wins; equal times pop arrival < availability < job end,
+// each class in cursor/push order. That is the order the binary-heap
+// engine this loop replaced produced (arrivals pushed first, then
+// availability, then job ends), and the golden digests in
+// tests/sim_golden.hpp hold every entry point to it bit for bit.
+//
+// A run packs `dims` resource dimensions (memory first). `annotations`,
+// when given, parallels the stream's pull order with each job's request
+// and usage vectors and footprint profile. Without it every job is the
+// flat, memory-only annotation of its record (trace::scenario_from), so
+// a scalar run carries no per-job state beyond the record itself.
 // ---------------------------------------------------------------------------
-class ShardedPoolIntegrator {
- public:
-  /// One time advance: integrate `dt` seconds of the counter state that
-  /// results from applying the first `delta_prefix` deltas of the batch.
-  struct Advance {
-    double dt = 0.0;
-    std::size_t delta_prefix = 0;
-  };
-
-  ShardedPoolIntegrator(Cluster& cluster, std::size_t workers)
-      : cluster_(cluster),
-        pool_count_(cluster.pool_count()),
-        workers_(workers) {
-    assert(workers_ > 0);
-    shadow_.resize(workers_);
-    acc_busy_.resize(workers_);
-    acc_present_.resize(workers_);
-    for (std::size_t w = 0; w < workers_; ++w) {
-      shadow_[w].resize(pool_count_);
-      for (std::size_t i = 0; i < pool_count_; ++i) {
-        const auto counters = cluster_.pool_counters(i);
-        shadow_[w][i] = {static_cast<std::int64_t>(counters.busy),
-                         static_cast<std::int64_t>(counters.present)};
-      }
-      acc_busy_[w].assign(pool_count_, 0.0);
-      acc_present_[w].assign(pool_count_, 0.0);
-    }
-    cluster_.set_delta_log(&fill_deltas_);
-    // If a spawn fails, wake whatever workers did start so the partial
-    // join inside ThreadPool's constructor can complete.
-    pool_.emplace(
-        workers_, [this](std::size_t w) { worker_main(w); },
-        [this] {
-          std::lock_guard<std::mutex> lk(m_);
-          stop_ = true;
-          cv_work_.notify_all();
-        });
-  }
-
-  ~ShardedPoolIntegrator() { shutdown(); }
-
-  ShardedPoolIntegrator(const ShardedPoolIntegrator&) = delete;
-  ShardedPoolIntegrator& operator=(const ShardedPoolIntegrator&) = delete;
-
-  void advance(double dt) {
-    fill_advances_.push_back({dt, fill_deltas_.size()});
-    if (fill_advances_.size() >= kBatchAdvances ||
-        fill_deltas_.size() >= kBatchDeltas) {
-      flush();
-    }
-  }
-
-  /// Drain outstanding work, join the workers, and return each pool's
-  /// (busy, present) node-second integrals.
-  std::vector<std::pair<double, double>> finish() {
-    flush();
-    shutdown();
-    std::vector<std::pair<double, double>> out(pool_count_, {0.0, 0.0});
-    for (std::size_t i = 0; i < pool_count_; ++i) {
-      const std::size_t w = i % workers_;
-      out[i] = {acc_busy_[w][i], acc_present_[w][i]};
-    }
-    return out;
-  }
-
- private:
-  // Batch sizing: big enough to amortize the barrier, small enough that
-  // both buffers stay a sliver of the trace.
-  static constexpr std::size_t kBatchAdvances = 16384;
-  static constexpr std::size_t kBatchDeltas = 65536;
-
-  void flush() {
-    if (fill_advances_.empty() && fill_deltas_.empty()) return;
-    std::unique_lock<std::mutex> lk(m_);
-    cv_done_.wait(lk, [&] { return remaining_ == 0; });
-    // Swapping keeps fill_deltas_'s address stable — the cluster keeps
-    // appending to the same vector object.
-    batch_deltas_.swap(fill_deltas_);
-    batch_advances_.swap(fill_advances_);
-    fill_deltas_.clear();
-    fill_advances_.clear();
-    remaining_ = workers_;
-    ++gen_;
-    cv_work_.notify_all();
-  }
-
-  void shutdown() {
-    if (!pool_) return;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_done_.wait(lk, [&] { return remaining_ == 0; });
-      stop_ = true;
-      cv_work_.notify_all();
-    }
-    pool_->join();
-    pool_.reset();
-    cluster_.set_delta_log(nullptr);
-  }
-
-  void worker_main(std::size_t w) {
-    std::uint64_t seen = 0;
-    auto& shadow = shadow_[w];
-    auto& busy_acc = acc_busy_[w];
-    auto& present_acc = acc_present_[w];
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(m_);
-        cv_work_.wait(lk, [&] { return stop_ || gen_ != seen; });
-        if (gen_ == seen) return;  // stop with nothing new to process
-        seen = gen_;
-      }
-      std::size_t applied = 0;
-      auto apply_up_to = [&](std::size_t limit) {
-        for (; applied < limit; ++applied) {
-          const Cluster::PoolDelta& d = batch_deltas_[applied];
-          shadow[d.pool].first += d.dbusy;
-          shadow[d.pool].second += d.dpresent;
-        }
-      };
-      for (const Advance& a : batch_advances_) {
-        apply_up_to(a.delta_prefix);
-        for (std::size_t i = w; i < pool_count_; i += workers_) {
-          busy_acc[i] += static_cast<double>(shadow[i].first) * a.dt;
-          present_acc[i] += static_cast<double>(shadow[i].second) * a.dt;
-        }
-      }
-      // Deltas after the last advance (events at the batch's final
-      // timestamp): zero elapsed time, but the shadow must track them.
-      apply_up_to(batch_deltas_.size());
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        if (--remaining_ == 0) cv_done_.notify_all();
-      }
-    }
-  }
-
-  Cluster& cluster_;
-  const std::size_t pool_count_;
-  const std::size_t workers_;
-
-  // Filling buffers (main thread only; fill_deltas_ is the cluster's log).
-  std::vector<Cluster::PoolDelta> fill_deltas_;
-  std::vector<Advance> fill_advances_;
-  // In-flight batch (workers, read-only between gen_ bump and remaining_
-  // reaching zero).
-  std::vector<Cluster::PoolDelta> batch_deltas_;
-  std::vector<Advance> batch_advances_;
-
-  // Worker-private shadow counters (busy, present) and integrals.
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> shadow_;
-  std::vector<std::vector<double>> acc_busy_;
-  std::vector<std::vector<double>> acc_present_;
-
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t gen_ = 0;
-  std::size_t remaining_ = 0;
-  bool stop_ = false;
-
-  std::optional<svc::ThreadPool> pool_;
-};
-
-// ---------------------------------------------------------------------------
-// Legacy engine: the pre-calendar-queue simulator, kept verbatim as the
-// heap_queue/baseline_loop A/B anchor. Every event — all arrivals up
-// front, availability changes, job ends — flows through the binary-heap
-// EventQueue over a fully materialized workload. tests/scale_equiv_test
-// gates the default engine against this one bit for bit.
-// ---------------------------------------------------------------------------
-SimulationResult run_legacy(const trace::Workload& workload,
-                            const ClusterSpec& cluster_spec,
-                            core::Estimator& estimator,
-                            sched::SchedulingPolicy& policy,
-                            const SimulationConfig& config) {
-  const auto& jobs = workload.jobs;
-
+MrSimulationResult run(trace::JobStream& stream,
+                       const std::vector<trace::MrJobInfo>* annotations,
+                       std::size_t dims, const ClusterSpec& cluster_spec,
+                       core::VectorEstimator& estimator,
+                       sched::SchedulingPolicy& policy,
+                       const SimulationConfig& config) {
   Cluster cluster(cluster_spec, config.allocation);
-  estimator.set_ladder(cluster.ladder());
+  // Per-dimension rounding ladders; dimension 0's is exactly ladder().
+  std::array<core::CapacityLadder, kMaxResourceDims> ladders;
+  for (std::size_t d = 0; d < dims; ++d) {
+    ladders[d] = cluster.ladder_for_dim(d);
+    estimator.set_ladder(d, ladders[d]);
+  }
   util::Rng rng(config.seed);
 
-  SimulationResult result;
-  result.estimator_name = estimator.name();
+  MrSimulationResult mr_result;
+  SimulationResult& result = mr_result.base;
+  result.estimator_name = estimator.estimator_name();
   result.policy_name = policy.name();
-  result.submitted = jobs.size();
-  result.offered_load = workload.offered_load(cluster.machine_count());
+  const std::size_t base_machines = cluster.machine_count();
 
-  EventQueue<EventPayload> events;
-  events.reserve(jobs.size() + config.availability.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    events.push(jobs[i].submit, {EventKind::kArrival, i});
-  }
+  // --- class 0: arrival lookahead ----------------------------------------
+  std::optional<trace::JobRecord> pending = stream.next();
+  const Seconds first_submit = pending ? pending->submit : 0.0;
+  // Offered-load accumulation in pull order: the same sum, first and last
+  // submit that Workload::offered_load reads off the materialized vector.
+  double pulled_work = pending ? pending->work() : 0.0;
+  Seconds last_submit = first_submit;
+  std::size_t pulled = pending ? 1 : 0;
+  auto pull_next = [&] {
+    pending = stream.next();
+    if (pending) {
+      if (pending->submit < last_submit) {
+        throw std::invalid_argument(
+            "simulate: jobs must be sorted by submit time");
+      }
+      pulled_work += pending->work();
+      last_submit = pending->submit;
+      ++pulled;
+    }
+  };
+
+  // --- class 1: availability cursor --------------------------------------
+  std::vector<std::size_t> avail_order(config.availability.size());
+  for (std::size_t i = 0; i < avail_order.size(); ++i) avail_order[i] = i;
+  std::stable_sort(avail_order.begin(), avail_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return config.availability[a].time <
+                            config.availability[b].time;
+                   });
+  std::size_t avail_pos = 0;
   // While capacity additions are still pending, "does not fit the current
   // cluster" is not "can never run": unschedulable-drop decisions wait.
   std::size_t pending_capacity_adds = 0;
-  for (std::size_t i = 0; i < config.availability.size(); ++i) {
-    events.push(config.availability[i].time, {EventKind::kAvailability, i});
-    if (config.availability[i].delta > 0) ++pending_capacity_adds;
+  for (const auto& change : config.availability) {
+    if (change.delta > 0) ++pending_capacity_adds;
   }
 
+  // --- class 2: job ends --------------------------------------------------
+  CalendarQueue<std::size_t> events;  // payload: running slot
+
+  // Live jobs, slot-allocated: a slot holds the record (and its attempt
+  // count) from arrival until the job leaves the system, so memory tracks
+  // jobs in flight. Queue entries and running records refer to jobs by
+  // slot — opaque to policies, so decision streams are unaffected.
+  // Annotated runs add the job's annotation index; runs with more than one
+  // dimension add its full preview vector (the queue entry carries only
+  // the memory coordinate policies order by).
+  std::vector<trace::JobRecord> job_slots;
+  std::vector<std::uint32_t> job_attempts;
+  std::vector<std::size_t> job_annotation;
+  std::vector<ResourceVector> job_preview;
+  std::vector<std::size_t> free_job_slots;
+  auto admit_job = [&](trace::JobRecord record) {
+    const std::size_t annotation_index = pulled - 1;
+    std::size_t slot;
+    if (!free_job_slots.empty()) {
+      slot = free_job_slots.back();
+      free_job_slots.pop_back();
+      job_slots[slot] = std::move(record);
+      job_attempts[slot] = 0;
+    } else {
+      slot = job_slots.size();
+      job_slots.push_back(std::move(record));
+      job_attempts.push_back(0);
+      if (annotations) job_annotation.emplace_back();
+      if (dims > 1) job_preview.emplace_back();
+    }
+    if (annotations) job_annotation[slot] = annotation_index;
+    return slot;
+  };
+  auto retire_job = [&](std::size_t slot) { free_job_slots.push_back(slot); };
+  auto annotation = [&](std::size_t slot) -> trace::MrJobInfo {
+    if (annotations) return (*annotations)[job_annotation[slot]];
+    const trace::JobRecord& record = job_slots[slot];
+    return {ResourceVector(record.requested_mem_mib),
+            ResourceVector(record.used_mem_mib),
+            {}};
+  };
+  auto round_requested = [&](const ResourceVector& requested) {
+    ResourceVector out;
+    for (std::size_t d = 0; d < dims; ++d) {
+      out[d] = ladders[d].round_up(requested[d]);
+    }
+    return out;
+  };
+
   std::deque<sched::QueuedJob> queue;
-  std::vector<RunningRecord> running;   // slot-allocated
+  std::vector<RunningRecord> running;  // slot-allocated
   std::vector<std::size_t> free_slots;
-  std::vector<std::uint32_t> attempts(jobs.size(), 0);
 
   // --- running-set index (hot path) --------------------------------------
   // A live mirror of the active slots, maintained on job start/end instead
-  // of being rebuilt (with a fresh allocation) on every pick_next
-  // iteration. Entries stay in ascending slot order — the exact order the
-  // per-iteration rebuild produced — so policies that sort or walk the
-  // running set see identical input and make identical decisions.
-  const bool baseline = config.baseline_loop;
-  std::vector<std::size_t> index_slots;                // ascending slots
-  std::vector<sched::RunningJobInfo> index_infos;      // parallel payloads
-  std::size_t active_jobs = 0;                         // O(1) timeseries count
+  // of being rebuilt on every pick_next iteration. Entries stay in
+  // ascending slot order, so policies that sort or walk the running set
+  // see a deterministic input.
+  std::vector<std::size_t> index_slots;
+  std::vector<sched::RunningJobInfo> index_infos;
+  std::size_t active_jobs = 0;
   auto index_insert = [&](std::size_t slot, sched::RunningJobInfo info) {
     const auto it =
         std::lower_bound(index_slots.begin(), index_slots.end(), slot);
@@ -307,9 +210,9 @@ SimulationResult run_legacy(const trace::Workload& workload,
   // Aggregates.
   double productive_node_seconds = 0.0;
   double wasted_node_seconds = 0.0;
+  double kill_progress_sum = 0.0;
   stats::Summary wait_stats, slowdown_stats, bounded_stats;
   stats::PercentileTracker slowdown_pct;
-  Seconds first_submit = jobs.empty() ? 0.0 : jobs.front().submit;
   Seconds last_event = first_submit;
   // Time-integrated machine count: with dynamic availability the
   // utilization denominator is this integral, not machines x makespan.
@@ -324,33 +227,17 @@ SimulationResult run_legacy(const trace::Workload& workload,
   auto integrate_pools = [&](Seconds now) {
     const Seconds dt = now - pool_since;
     if (dt <= 0.0) return;
-    if (baseline) {
-      // Reference path: materialize a snapshot vector per event.
-      const auto snaps = cluster.snapshot();
-      for (std::size_t i = 0; i < snaps.size() && i < pool_integrals.size();
-           ++i) {
-        pool_integrals[i].busy_node_seconds +=
-            static_cast<double>(snaps[i].busy) * dt;
-        pool_integrals[i].capacity_node_seconds +=
-            static_cast<double>(snaps[i].present()) * dt;
-      }
-    } else {
-      // Same numbers straight off the cluster's incremental counters.
-      const std::size_t n =
-          std::min(cluster.pool_count(), pool_integrals.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto counters = cluster.pool_counters(i);
-        pool_integrals[i].busy_node_seconds +=
-            static_cast<double>(counters.busy) * dt;
-        pool_integrals[i].capacity_node_seconds +=
-            static_cast<double>(counters.present) * dt;
-      }
+    // Straight off the cluster's incremental counters: allocation-free.
+    const std::size_t n = std::min(cluster.pool_count(), pool_integrals.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto counters = cluster.pool_counters(i);
+      pool_integrals[i].busy_node_seconds +=
+          static_cast<double>(counters.busy) * dt;
+      pool_integrals[i].capacity_node_seconds +=
+          static_cast<double>(counters.present) * dt;
     }
     pool_since = now;
   };
-
-  // What the raw (un-estimated) request needs, for "lowered" accounting.
-  const core::CapacityLadder ladder = cluster.ladder();
 
   // Engine observability: event throughput and scheduler decision time.
   // All reads of the wall clock are metric-only; simulated time is
@@ -377,13 +264,19 @@ SimulationResult run_legacy(const trace::Workload& workload,
     return state;
   };
 
-  // Stamp a queue entry's preview memo: while the estimator keeps
-  // reporting this epoch for the job's group, effective_request is
-  // guaranteed current and the refresh preview call can be skipped.
-  auto stamp_preview_memo = [&](sched::QueuedJob& q,
-                                const trace::JobRecord& record) {
-    if (baseline) return;
-    if (const auto epoch = estimator.preview_epoch(record)) {
+  // A side-effect-free preview: the committed estimate happens at dispatch
+  // (paper Figure 2 places estimation before allocation, and a queued
+  // job's group keeps learning while it waits). The preview memo: while
+  // the estimator keeps reporting this epoch for the job, the stored
+  // preview is guaranteed current and the refresh can be skipped.
+  auto refresh_preview = [&](sched::QueuedJob& q) {
+    const trace::JobRecord& record = job_slots[q.trace_index];
+    const ResourceVector requested = annotation(q.trace_index).requested;
+    const ResourceVector preview =
+        estimator.preview(record, requested, system_state());
+    q.effective_request = preview[kDimMem];
+    if (dims > 1) job_preview[q.trace_index] = preview;
+    if (const auto epoch = estimator.preview_epoch(record, requested)) {
       q.preview_epoch = *epoch;
       q.preview_memoized = true;
     } else {
@@ -391,545 +284,14 @@ SimulationResult run_legacy(const trace::Workload& workload,
     }
   };
 
-  auto make_queued = [&](std::size_t trace_index) {
-    const trace::JobRecord& record = jobs[trace_index];
-    sched::QueuedJob q;
-    q.trace_index = trace_index;
-    q.id = record.id;
-    q.nodes = record.nodes;
-    // A side-effect-free preview: the committed estimate happens at
-    // dispatch (paper Figure 2 places estimation before allocation, and a
-    // queued job's group keeps learning while it waits).
-    q.effective_request = estimator.preview(record, system_state());
-    stamp_preview_memo(q, record);
-    q.enqueue_time = last_event;
-    // Runtime input for reservation math: the learned prediction when a
-    // predictor is attached, otherwise the user's estimate.
-    q.requested_time =
-        config.runtime_predictor
-            ? config.runtime_predictor->predict(record)
-            : (record.requested_time > 0.0 ? record.requested_time
-                                           : record.runtime);
-    q.attempts = attempts[trace_index];
-    return q;
-  };
-
-  auto start_job = [&](const sched::QueuedJob& q, Seconds now) -> bool {
-    const trace::JobRecord& record = jobs[q.trace_index];
-    // Commit the estimate now; the preview the policy saw may be stale.
-    const MiB grant = estimator.estimate(record, system_state());
-    auto allocation = cluster.allocate(q.nodes, grant);
-    if (!allocation) {
-      // The fresh estimate outgrew the preview (group escalation, RL
-      // exploration) and no longer fits; undo the commitment.
-      estimator.cancel(record, grant);
-      return false;
-    }
-
-    RunningRecord run;
-    run.trace_index = q.trace_index;
-    run.allocation = *allocation;
-    run.granted = grant;
-    run.start = now;
-    run.expected_end = now + q.requested_time;
-    run.active = true;
-
-    // Decide the attempt's fate up front (the trace knows the truth).
-    Seconds end;
-    if (record.status == trace::JobStatus::kFailed) {
-      // Intrinsic (non-resource) failure: the false-positive source for
-      // implicit feedback discussed in paper §2.1.
-      run.outcome = Outcome::kIntrinsicFailure;
-      end = now + rng.uniform() * record.runtime;
-    } else if (record.used_mem_mib > run.granted + 1e-9) {
-      run.outcome = Outcome::kResourceFailure;
-      end = now + rng.uniform() * record.runtime;
-    } else {
-      run.outcome = Outcome::kSuccess;
-      end = now + record.runtime;
-    }
-
-    ++result.attempts;
-    ++attempts[q.trace_index];
-    if (run.granted + 1e-9 < ladder.round_up(record.requested_mem_mib)) {
-      ++result.lowered_starts;
-    }
-
-    const sched::RunningJobInfo info{run.expected_end, record.nodes,
-                                     run.granted};
-    std::size_t slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-      running[slot] = std::move(run);
-    } else {
-      slot = running.size();
-      running.push_back(std::move(run));
-    }
-    ++active_jobs;
-    if (!baseline) index_insert(slot, info);
-    events.push(end, {EventKind::kJobEnd, slot});
-    return true;
-  };
-
-  auto schedule = [&](Seconds now) {
-    // Bounds repeated estimate-then-cancel churn from estimators whose
-    // committed grant keeps exceeding the preview (randomized policies).
-    int failed_starts = 0;
-    std::vector<sched::RunningJobInfo> rebuilt;  // reference engine only
-    for (;;) {
-      // Keep the head's preview fresh: strict FCFS blocks on the head, so
-      // a stale (too-high) preview would idle machines the head's group
-      // has since learned it does not need. With an epoch-capable
-      // estimator the refresh is O(1): an unchanged epoch guarantees the
-      // stored preview is still exactly what preview() would return.
-      if (!queue.empty()) {
-        sched::QueuedJob& head = queue.front();
-        const auto& head_record = jobs[head.trace_index];
-        bool stale = true;
-        if (head.preview_memoized) {
-          const auto epoch = estimator.preview_epoch(head_record);
-          stale = !(epoch && *epoch == head.preview_epoch);
-        }
-        if (stale) {
-          head.effective_request =
-              estimator.preview(head_record, system_state());
-          stamp_preview_memo(head, head_record);
-        }
-        // A head whose refreshed requirement outgrew the whole cluster
-        // would block strict FCFS forever; reject it like any other
-        // unschedulable job (unless machines may still join).
-        if (pending_capacity_adds == 0 &&
-            cluster.eligible_total(head.effective_request) < head.nodes) {
-          ++result.dropped_unschedulable;
-          queue.pop_front();
-          continue;
-        }
-      }
-      // Policies that look at running jobs (backfilling) see the current
-      // set each iteration; the set changes as picks start jobs. The live
-      // index IS that view; the reference engine rebuilds it from scratch
-      // (fresh allocation included) exactly as the seed engine did.
-      const std::vector<sched::RunningJobInfo>* infos = &index_infos;
-      if (baseline) {
-        std::vector<sched::RunningJobInfo> fresh;
-        fresh.reserve(running.size());
-        for (const auto& run : running) {
-          if (!run.active) continue;
-          fresh.push_back({run.expected_end, jobs[run.trace_index].nodes,
-                           run.granted});
-        }
-        rebuilt = std::move(fresh);
-        infos = &rebuilt;
-      }
-      const auto pick = policy.pick_next(queue, cluster, *infos, now);
-      if (!pick) return;
-      assert(*pick < queue.size());
-      if (!start_job(queue[*pick], now)) {
-        // Fresh estimate no longer fits: refresh this entry's preview so
-        // the policy re-decides with current knowledge.
-        const auto& record = jobs[queue[*pick].trace_index];
-        queue[*pick].effective_request =
-            estimator.preview(record, system_state());
-        stamp_preview_memo(queue[*pick], record);
-        if (++failed_starts > 64) return;
-        continue;
-      }
-      // Order-preserving removal; the FCFS common case picks the head,
-      // which must not shift the whole tail.
-      if (!baseline && *pick == 0) {
-        queue.pop_front();
-      } else {
-        queue.erase(queue.begin() + static_cast<long>(*pick));
-      }
-    }
-  };
-
-  auto enqueue = [&](std::size_t trace_index, bool retry) {
-    sched::QueuedJob q = make_queued(trace_index);
-    // A job the cluster can never host (even empty) would block FCFS
-    // forever; reject it up front, as a real scheduler would. With
-    // capacity additions still scheduled, hold the job instead.
-    if (pending_capacity_adds == 0 &&
-        cluster.eligible_total(q.effective_request) < q.nodes) {
-      ++result.dropped_unschedulable;
-      RM_LOG(kDebug) << "dropping unschedulable job " << q.id;
-      return;
-    }
-    if (retry) {
-      // Paper §3.1: a failed job returns to the head of the queue.
-      queue.push_front(std::move(q));
-    } else {
-      queue.push_back(std::move(q));
-    }
-  };
-
-  while (!events.empty()) {
-    const auto event = events.pop();
-    ++events_processed;
-    last_event = std::max(last_event, event.time);
-    const Seconds now = event.time;
-    integrate_pools(now);  // charge the elapsed interval to the old state
-
-    switch (event.payload.kind) {
-      case EventKind::kArrival: {
-        enqueue(event.payload.index, /*retry=*/false);
-        break;
-      }
-      case EventKind::kAvailability: {
-        const AvailabilityEvent& change =
-            config.availability[event.payload.index];
-        // Events scheduled before the first arrival apply immediately but
-        // contribute no (negative) capacity time.
-        const Seconds effective = std::max(now, capacity_since);
-        capacity_integral += static_cast<double>(cluster.machine_count()) *
-                             (effective - capacity_since);
-        capacity_since = effective;
-        if (change.delta >= 0) {
-          cluster.add_machines(change.capacity,
-                               static_cast<std::size_t>(change.delta));
-          if (pending_capacity_adds > 0) --pending_capacity_adds;
-        } else {
-          cluster.remove_machines(change.capacity,
-                                  static_cast<std::size_t>(-change.delta));
-        }
-        break;
-      }
-      case EventKind::kJobEnd: {
-        RunningRecord& run = running[event.payload.index];
-        assert(run.active);
-        run.active = false;
-        cluster.release(run.allocation);
-        free_slots.push_back(event.payload.index);
-        --active_jobs;
-        if (!baseline) index_erase(event.payload.index);
-        const trace::JobRecord& record = jobs[run.trace_index];
-
-        // Feedback to the estimator.
-        core::Feedback fb;
-        fb.success = run.outcome == Outcome::kSuccess;
-        fb.granted_mib = run.granted;
-        if (config.explicit_feedback) {
-          fb.used_mib = record.used_mem_mib;
-          fb.resource_failure = run.outcome == Outcome::kResourceFailure;
-        }
-        estimator.feedback(record, fb);
-
-        if (config.runtime_predictor &&
-            run.outcome == Outcome::kSuccess) {
-          config.runtime_predictor->observe(record, record.runtime);
-          config.runtime_predictor->record_accuracy(
-              run.expected_end - run.start, record.runtime);
-        }
-
-        switch (run.outcome) {
-          case Outcome::kSuccess: {
-            ++result.completed;
-            productive_node_seconds += record.work();
-            result.granted_mib_nodes +=
-                run.granted * static_cast<double>(record.nodes);
-            result.used_mib_nodes +=
-                record.used_mem_mib * static_cast<double>(record.nodes);
-            const Seconds response = now - record.submit;
-            const Seconds wait = response - record.runtime;
-            wait_stats.add(wait);
-            const double slowdown = response / record.runtime;
-            slowdown_stats.add(slowdown);
-            slowdown_pct.add(slowdown);
-            bounded_stats.add(std::max(
-                1.0, response /
-                         std::max(record.runtime, config.bounded_slowdown_tau)));
-            if (cluster.eligible_total(run.granted) >
-                cluster.eligible_total(
-                    ladder.round_up(record.requested_mem_mib))) {
-              ++result.benefiting_jobs;
-              result.benefiting_nodes += record.nodes;
-            }
-            break;
-          }
-          case Outcome::kResourceFailure: {
-            ++result.resource_failures;
-            wasted_node_seconds +=
-                static_cast<double>(record.nodes) * (now - run.start);
-            if (attempts[run.trace_index] >= config.max_attempts_per_job) {
-              ++result.dropped_attempt_cap;
-              RM_LOG(kWarn) << "job " << record.id
-                            << " dropped after attempt cap";
-            } else {
-              enqueue(run.trace_index, /*retry=*/true);
-            }
-            break;
-          }
-          case Outcome::kIntrinsicFailure: {
-            ++result.intrinsic_failed;
-            wasted_node_seconds +=
-                static_cast<double>(record.nodes) * (now - run.start);
-            // Non-resource failures are not resubmitted: rerunning a
-            // faulty program would fail again regardless of resources.
-            break;
-          }
-        }
-        break;
-      }
-    }
-
-    // Batch same-time events before scheduling so simultaneous arrivals
-    // and completions see one consistent state.
-    if (!events.empty() && events.top().time == now) continue;
-    if (schedule_hist != nullptr) {
-      obs::ScopedSpan pass("sim.schedule", schedule_hist);
-      schedule(now);
-    } else {
-      schedule(now);
-    }
-    if (config.timeseries) {
-      std::size_t active = active_jobs;
-      if (baseline) {
-        // Reference path: recount the slot table per event, as the seed
-        // engine did. Must equal the maintained counter.
-        active = 0;
-        for (const auto& run : running) active += run.active ? 1 : 0;
-        assert(active == active_jobs);
-      }
-      config.timeseries->observe(now, cluster.busy_fraction(), queue.size(),
-                                 active);
-    }
-  }
-
-  // Jobs stranded in the queue when events ran out (possible only under
-  // dynamic availability: the capacity they waited for never sufficed).
-  result.dropped_unschedulable += queue.size();
-
-  result.makespan = last_event - first_submit;
-  integrate_pools(last_event);
-  for (const auto& pool : pool_integrals) {
-    result.pool_utilization.push_back(
-        {pool.capacity, pool.capacity_node_seconds > 0.0
-                            ? pool.busy_node_seconds /
-                                  pool.capacity_node_seconds
-                            : 0.0});
-  }
-  capacity_integral += static_cast<double>(cluster.machine_count()) *
-                       (last_event - capacity_since);
-  const double capacity_node_seconds = capacity_integral;
-  if (capacity_node_seconds > 0.0) {
-    result.utilization = productive_node_seconds / capacity_node_seconds;
-    result.wasted_fraction = wasted_node_seconds / capacity_node_seconds;
-  }
-  result.mean_wait = wait_stats.mean();
-  result.mean_slowdown = slowdown_stats.mean();
-  result.mean_bounded_slowdown = bounded_stats.mean();
-  result.p95_slowdown = slowdown_pct.percentile(95.0);
-  if (result.makespan > 0.0) {
-    result.throughput_per_hour =
-        static_cast<double>(result.completed) / (result.makespan / 3600.0);
-  }
-  if (config.metrics) {
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    if (events_counter != nullptr) {
-      events_counter->inc(events_processed);
-    }
-    // Push-style gauges only: providers would capture locals that die with
-    // this frame.
-    config.metrics
-        ->gauge("resmatch_sim_wall_seconds", "Wall time of the last run")
-        .set(wall);
-    config.metrics
-        ->gauge("resmatch_sim_events_per_sec",
-                "Event throughput of the last run")
-        .set(wall > 0.0 ? static_cast<double>(events_processed) / wall : 0.0);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Default engine: calendar queue + streamed arrivals + optional sharding.
-//
-// The legacy engine pre-pushes every arrival into the heap, so the queue
-// holds the whole remaining trace (10M+ events at cluster scale) and each
-// pop walks ~log2(10M) cache-missing heap levels. This engine exploits
-// what the trace already guarantees — arrivals come sorted — and merges
-// three independently ordered sources instead:
-//
-//   class 0: the arrival stream, one-record lookahead;
-//   class 1: availability changes, a cursor over a pre-sorted index;
-//   class 2: job-end events, the only dynamic set, in a calendar queue
-//            sized by jobs *in flight*, not trace length.
-//
-// Equal-time ordering matches the legacy engine exactly: legacy seq
-// numbers are assigned arrivals first (trace order), then availability
-// (index order), then job ends (push order), so at any timestamp the
-// classes pop 0 < 1 < 2 with each class internally in cursor/push order —
-// precisely what this merge produces. tests/scale_equiv_test holds the
-// two engines bit-identical across policies, estimators, and seeds.
-// ---------------------------------------------------------------------------
-SimulationResult run_merge(trace::JobStream& stream,
-                           const ClusterSpec& cluster_spec,
-                           core::Estimator& estimator,
-                           sched::SchedulingPolicy& policy,
-                           const SimulationConfig& config) {
-  Cluster cluster(cluster_spec, config.allocation);
-  estimator.set_ladder(cluster.ladder());
-  util::Rng rng(config.seed);
-
-  SimulationResult result;
-  result.estimator_name = estimator.name();
-  result.policy_name = policy.name();
-  const std::size_t base_machines = cluster.machine_count();
-
-  // --- class 0: arrival lookahead ----------------------------------------
-  std::optional<trace::JobRecord> pending = stream.next();
-  const Seconds first_submit = pending ? pending->submit : 0.0;
-  // Offered-load accumulation in pull order: the same sum, first and last
-  // submit that Workload::offered_load reads off the materialized vector.
-  double pulled_work = pending ? pending->work() : 0.0;
-  Seconds last_submit = first_submit;
-  std::size_t pulled = pending ? 1 : 0;
-  auto pull_next = [&] {
-    pending = stream.next();
-    if (pending) {
-      if (pending->submit < last_submit) {
-        throw std::invalid_argument(
-            "simulate: job stream must be sorted by submit time");
-      }
-      pulled_work += pending->work();
-      last_submit = pending->submit;
-      ++pulled;
-    }
-  };
-
-  // --- class 1: availability cursor --------------------------------------
-  std::vector<std::size_t> avail_order(config.availability.size());
-  for (std::size_t i = 0; i < avail_order.size(); ++i) avail_order[i] = i;
-  std::stable_sort(avail_order.begin(), avail_order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return config.availability[a].time <
-                            config.availability[b].time;
-                   });
-  std::size_t avail_pos = 0;
-  std::size_t pending_capacity_adds = 0;
-  for (const auto& change : config.availability) {
-    if (change.delta > 0) ++pending_capacity_adds;
-  }
-
-  // --- class 2: job ends --------------------------------------------------
-  CalendarQueue<std::size_t> events;  // payload: running slot
-
-  // Live jobs, slot-allocated: a slot holds the record (and its attempt
-  // count) from arrival until the job leaves the system, so memory tracks
-  // jobs in flight. Queue entries and running records refer to jobs by
-  // slot — opaque to policies, so decision streams are unaffected.
-  std::vector<trace::JobRecord> job_slots;
-  std::vector<std::uint32_t> job_attempts;
-  std::vector<std::size_t> free_job_slots;
-  auto admit_job = [&](trace::JobRecord record) {
-    std::size_t slot;
-    if (!free_job_slots.empty()) {
-      slot = free_job_slots.back();
-      free_job_slots.pop_back();
-      job_slots[slot] = std::move(record);
-      job_attempts[slot] = 0;
-    } else {
-      slot = job_slots.size();
-      job_slots.push_back(std::move(record));
-      job_attempts.push_back(0);
-    }
-    return slot;
-  };
-  auto retire_job = [&](std::size_t slot) { free_job_slots.push_back(slot); };
-
-  std::deque<sched::QueuedJob> queue;
-  std::vector<RunningRecord> running;  // slot-allocated
-  std::vector<std::size_t> free_slots;
-
-  // Running-set index: live mirror of the active slots (see run_legacy).
-  std::vector<std::size_t> index_slots;
-  std::vector<sched::RunningJobInfo> index_infos;
-  std::size_t active_jobs = 0;
-  auto index_insert = [&](std::size_t slot, sched::RunningJobInfo info) {
-    const auto it =
-        std::lower_bound(index_slots.begin(), index_slots.end(), slot);
-    const auto pos = it - index_slots.begin();
-    index_slots.insert(it, slot);
-    index_infos.insert(index_infos.begin() + pos, info);
-  };
-  auto index_erase = [&](std::size_t slot) {
-    const auto it =
-        std::lower_bound(index_slots.begin(), index_slots.end(), slot);
-    assert(it != index_slots.end() && *it == slot);
-    const auto pos = it - index_slots.begin();
-    index_slots.erase(it);
-    index_infos.erase(index_infos.begin() + pos);
-  };
-
-  // Aggregates.
-  double productive_node_seconds = 0.0;
-  double wasted_node_seconds = 0.0;
-  stats::Summary wait_stats, slowdown_stats, bounded_stats;
-  stats::PercentileTracker slowdown_pct;
-  Seconds last_event = first_submit;
-  double capacity_integral = 0.0;
-  Seconds capacity_since = first_submit;
-
-  std::vector<PoolIntegral> pool_integrals;
-  for (const auto& snap : cluster.snapshot()) {
-    pool_integrals.push_back({snap.capacity, 0.0, 0.0});
-  }
-  Seconds pool_since = first_submit;
-  std::optional<ShardedPoolIntegrator> sharded;
-  if (config.shards > 0) sharded.emplace(cluster, config.shards);
-  auto integrate_pools = [&](Seconds now) {
-    const Seconds dt = now - pool_since;
-    if (dt <= 0.0) return;
-    if (sharded) {
-      sharded->advance(dt);
-    } else {
-      const std::size_t n =
-          std::min(cluster.pool_count(), pool_integrals.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto counters = cluster.pool_counters(i);
-        pool_integrals[i].busy_node_seconds +=
-            static_cast<double>(counters.busy) * dt;
-        pool_integrals[i].capacity_node_seconds +=
-            static_cast<double>(counters.present) * dt;
-      }
-    }
-    pool_since = now;
-  };
-
-  const core::CapacityLadder ladder = cluster.ladder();
-
-  obs::Counter* events_counter = nullptr;
-  obs::Histogram* schedule_hist = nullptr;
-  if (config.metrics) {
-    events_counter = &config.metrics->counter(
-        "resmatch_sim_events_total", "Discrete events processed");
-    schedule_hist = &config.metrics->histogram(
-        "resmatch_sim_schedule_seconds",
-        "Wall time of one scheduler decision pass", {1e-7, 2.0, 22});
-  }
-  std::uint64_t events_processed = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  auto system_state = [&]() {
-    core::SystemState state;
-    state.now = last_event;
-    state.busy_fraction = cluster.busy_fraction();
-    state.queue_length = queue.size();
-    return state;
-  };
-
-  auto stamp_preview_memo = [&](sched::QueuedJob& q,
-                                const trace::JobRecord& record) {
-    if (const auto epoch = estimator.preview_epoch(record)) {
-      q.preview_epoch = *epoch;
-      q.preview_memoized = true;
-    } else {
-      q.preview_memoized = false;
-    }
+  // A job the cluster can never host (even empty) would block FCFS
+  // forever; it is rejected as a real scheduler would. With capacity
+  // additions still scheduled, it is held instead.
+  auto unschedulable = [&](const sched::QueuedJob& q) {
+    if (pending_capacity_adds > 0) return false;
+    const ResourceVector preview = dims > 1 ? job_preview[q.trace_index]
+                                            : ResourceVector(q.effective_request);
+    return cluster.eligible_total_vec(preview, dims) < q.nodes;
   };
 
   auto make_queued = [&](std::size_t job_slot) {
@@ -938,9 +300,10 @@ SimulationResult run_merge(trace::JobStream& stream,
     q.trace_index = job_slot;
     q.id = record.id;
     q.nodes = record.nodes;
-    q.effective_request = estimator.preview(record, system_state());
-    stamp_preview_memo(q, record);
+    refresh_preview(q);
     q.enqueue_time = last_event;
+    // Runtime input for reservation math: the learned prediction when a
+    // predictor is attached, otherwise the user's estimate.
     q.requested_time =
         config.runtime_predictor
             ? config.runtime_predictor->predict(record)
@@ -952,41 +315,85 @@ SimulationResult run_merge(trace::JobStream& stream,
 
   auto start_job = [&](const sched::QueuedJob& q, Seconds now) -> bool {
     const trace::JobRecord& record = job_slots[q.trace_index];
-    const MiB grant = estimator.estimate(record, system_state());
-    auto allocation = cluster.allocate(q.nodes, grant);
+    const trace::MrJobInfo info = annotation(q.trace_index);
+    // Commit the estimate now; the preview the policy saw may be stale.
+    const ResourceVector grant =
+        estimator.estimate(record, info.requested, system_state());
+    auto allocation = cluster.allocate_vec(q.nodes, grant, dims);
     if (!allocation) {
-      estimator.cancel(record, grant);
+      // The fresh estimate outgrew the preview (group escalation, RL
+      // exploration) and no longer fits; undo the commitment.
+      estimator.cancel(record, info.requested, grant);
       return false;
     }
 
     RunningRecord run;
-    run.trace_index = q.trace_index;
+    run.job_slot = q.trace_index;
     run.allocation = *allocation;
     run.granted = grant;
     run.start = now;
     run.expected_end = now + q.requested_time;
     run.active = true;
 
+    // Decide the attempt's fate up front (the trace knows the truth).
+    // Intrinsic failures draw first; a flat-profile resource kill draws
+    // exactly once however many dimensions overrun (the paper's uniform
+    // kill time); footprint crossings draw nothing, their time is known.
     Seconds end;
     if (record.status == trace::JobStatus::kFailed) {
+      // Intrinsic (non-resource) failure: the false-positive source for
+      // implicit feedback discussed in paper §2.1.
       run.outcome = Outcome::kIntrinsicFailure;
       end = now + rng.uniform() * record.runtime;
-    } else if (record.used_mem_mib > run.granted + 1e-9) {
-      run.outcome = Outcome::kResourceFailure;
-      end = now + rng.uniform() * record.runtime;
     } else {
-      run.outcome = Outcome::kSuccess;
-      end = now + record.runtime;
+      std::optional<std::size_t> first_overrun;
+      for (std::size_t d = 0; d < dims; ++d) {
+        if (info.used_peak[d] > grant[d] + 1e-9) {
+          first_overrun = d;
+          break;
+        }
+      }
+      if (!first_overrun) {
+        run.outcome = Outcome::kSuccess;
+        end = now + record.runtime;
+      } else if (info.profile.shape == trace::FootprintShape::kFlat) {
+        run.outcome = Outcome::kResourceFailure;
+        run.culprit = *first_overrun;
+        end = now + rng.uniform() * record.runtime;
+      } else {
+        // The profile crosses each overrun dimension's grant at a known
+        // time; the earliest crossing kills the job (ties: lowest dim).
+        run.outcome = Outcome::kResourceFailure;
+        run.midjob = true;
+        Seconds earliest = record.runtime;
+        std::size_t culprit = *first_overrun;
+        for (std::size_t d = *first_overrun; d < dims; ++d) {
+          if (!(info.used_peak[d] > grant[d] + 1e-9)) continue;
+          const auto crossing = info.profile.first_crossing(
+              grant[d], record.runtime, info.used_peak[d]);
+          assert(crossing.has_value());
+          if (crossing && *crossing < earliest) {
+            earliest = *crossing;
+            culprit = d;
+          }
+        }
+        run.culprit = culprit;
+        end = now + earliest;
+      }
     }
 
     ++result.attempts;
     ++job_attempts[q.trace_index];
-    if (run.granted + 1e-9 < ladder.round_up(record.requested_mem_mib)) {
-      ++result.lowered_starts;
+    const ResourceVector rounded = round_requested(info.requested);
+    for (std::size_t d = 0; d < dims; ++d) {
+      if (grant[d] + 1e-9 < rounded[d]) {
+        ++result.lowered_starts;
+        break;
+      }
     }
 
-    const sched::RunningJobInfo info{run.expected_end, record.nodes,
-                                     run.granted};
+    const sched::RunningJobInfo run_info{run.expected_end, record.nodes,
+                                         run.granted[kDimMem]};
     std::size_t slot;
     if (!free_slots.empty()) {
       slot = free_slots.back();
@@ -997,29 +404,33 @@ SimulationResult run_merge(trace::JobStream& stream,
       running.push_back(std::move(run));
     }
     ++active_jobs;
-    index_insert(slot, info);
+    index_insert(slot, run_info);
     events.push(end, slot);
     return true;
   };
 
   auto schedule = [&](Seconds now) {
+    // Bounds repeated estimate-then-cancel churn from estimators whose
+    // committed grant keeps exceeding the preview (randomized policies).
     int failed_starts = 0;
     for (;;) {
+      // Keep the head's preview fresh: strict FCFS blocks on the head, so
+      // a stale (too-high) preview would idle machines the head's group
+      // has since learned it does not need. With an epoch-capable
+      // estimator the refresh is O(1).
       if (!queue.empty()) {
         sched::QueuedJob& head = queue.front();
-        const auto& head_record = job_slots[head.trace_index];
         bool stale = true;
         if (head.preview_memoized) {
-          const auto epoch = estimator.preview_epoch(head_record);
+          const auto epoch = estimator.preview_epoch(
+              job_slots[head.trace_index],
+              annotation(head.trace_index).requested);
           stale = !(epoch && *epoch == head.preview_epoch);
         }
-        if (stale) {
-          head.effective_request =
-              estimator.preview(head_record, system_state());
-          stamp_preview_memo(head, head_record);
-        }
-        if (pending_capacity_adds == 0 &&
-            cluster.eligible_total(head.effective_request) < head.nodes) {
+        if (stale) refresh_preview(head);
+        // A head whose refreshed requirement outgrew the whole cluster
+        // would block strict FCFS forever.
+        if (unschedulable(head)) {
           ++result.dropped_unschedulable;
           retire_job(head.trace_index);
           queue.pop_front();
@@ -1030,13 +441,14 @@ SimulationResult run_merge(trace::JobStream& stream,
       if (!pick) return;
       assert(*pick < queue.size());
       if (!start_job(queue[*pick], now)) {
-        const auto& record = job_slots[queue[*pick].trace_index];
-        queue[*pick].effective_request =
-            estimator.preview(record, system_state());
-        stamp_preview_memo(queue[*pick], record);
+        // Fresh estimate no longer fits: refresh this entry's preview so
+        // the policy re-decides with current knowledge.
+        refresh_preview(queue[*pick]);
         if (++failed_starts > 64) return;
         continue;
       }
+      // Order-preserving removal; the FCFS common case picks the head,
+      // which must not shift the whole tail.
       if (*pick == 0) {
         queue.pop_front();
       } else {
@@ -1047,22 +459,20 @@ SimulationResult run_merge(trace::JobStream& stream,
 
   auto enqueue = [&](std::size_t job_slot, bool retry) {
     sched::QueuedJob q = make_queued(job_slot);
-    if (pending_capacity_adds == 0 &&
-        cluster.eligible_total(q.effective_request) < q.nodes) {
+    if (unschedulable(q)) {
       ++result.dropped_unschedulable;
       RM_LOG(kDebug) << "dropping unschedulable job " << q.id;
       retire_job(job_slot);
       return;
     }
     if (retry) {
+      // Paper §3.1: a failed job returns to the head of the queue.
       queue.push_front(std::move(q));
     } else {
       queue.push_back(std::move(q));
     }
   };
 
-  // Three-way merge: smallest time wins; ties by class (arrival <
-  // availability < job end), matching the legacy engine's seq order.
   enum class Src : std::uint8_t { kNone, kArrival, kAvail, kEnd };
   auto peek = [&]() -> std::pair<Src, Seconds> {
     Src src = Src::kNone;
@@ -1105,6 +515,8 @@ SimulationResult run_merge(trace::JobStream& stream,
       case Src::kAvail: {
         const AvailabilityEvent& change =
             config.availability[avail_order[avail_pos++]];
+        // Events scheduled before the first arrival apply immediately but
+        // contribute no (negative) capacity time.
         const Seconds effective = std::max(now, capacity_since);
         capacity_integral += static_cast<double>(cluster.machine_count()) *
                              (effective - capacity_since);
@@ -1128,16 +540,29 @@ SimulationResult run_merge(trace::JobStream& stream,
         free_slots.push_back(event.payload);
         --active_jobs;
         index_erase(event.payload);
-        const trace::JobRecord& record = job_slots[run.trace_index];
+        const trace::JobRecord& record = job_slots[run.job_slot];
+        const trace::MrJobInfo info = annotation(run.job_slot);
+        const Seconds elapsed = now - run.start;
 
-        core::Feedback fb;
+        // Feedback to the estimator.
+        core::VectorFeedback fb;
         fb.success = run.outcome == Outcome::kSuccess;
-        fb.granted_mib = run.granted;
+        fb.granted = run.granted;
         if (config.explicit_feedback) {
-          fb.used_mib = record.used_mem_mib;
-          fb.resource_failure = run.outcome == Outcome::kResourceFailure;
+          fb.explicit_feedback = true;
+          // What the usage monitor saw at the moment the attempt ended:
+          // the full peak on success (and always under flat profiles),
+          // but only the footprint-so-far on an early kill — which is
+          // exactly why early and late kills teach differently.
+          for (std::size_t d = 0; d < dims; ++d) {
+            fb.used[d] = info.profile.usage_at(elapsed, record.runtime,
+                                               info.used_peak[d]);
+          }
+          if (run.outcome == Outcome::kResourceFailure) {
+            fb.dim_failure[run.culprit] = true;
+          }
         }
-        estimator.feedback(record, fb);
+        estimator.feedback(record, info.requested, fb);
 
         if (config.runtime_predictor && run.outcome == Outcome::kSuccess) {
           config.runtime_predictor->observe(record, record.runtime);
@@ -1150,7 +575,7 @@ SimulationResult run_merge(trace::JobStream& stream,
             ++result.completed;
             productive_node_seconds += record.work();
             result.granted_mib_nodes +=
-                run.granted * static_cast<double>(record.nodes);
+                run.granted[kDimMem] * static_cast<double>(record.nodes);
             result.used_mib_nodes +=
                 record.used_mem_mib * static_cast<double>(record.nodes);
             const Seconds response = now - record.submit;
@@ -1163,35 +588,38 @@ SimulationResult run_merge(trace::JobStream& stream,
                 1.0,
                 response /
                     std::max(record.runtime, config.bounded_slowdown_tau)));
-            if (cluster.eligible_total(run.granted) >
-                cluster.eligible_total(
-                    ladder.round_up(record.requested_mem_mib))) {
+            if (cluster.eligible_total_vec(run.granted, dims) >
+                cluster.eligible_total_vec(round_requested(info.requested),
+                                           dims)) {
               ++result.benefiting_jobs;
               result.benefiting_nodes += record.nodes;
             }
-            retire_job(run.trace_index);
+            retire_job(run.job_slot);
             break;
           }
           case Outcome::kResourceFailure: {
             ++result.resource_failures;
-            wasted_node_seconds +=
-                static_cast<double>(record.nodes) * (now - run.start);
-            if (job_attempts[run.trace_index] >=
-                config.max_attempts_per_job) {
+            ++mr_result.kills_by_dim[run.culprit];
+            if (run.midjob) ++mr_result.midjob_kills;
+            kill_progress_sum +=
+                record.runtime > 0.0 ? elapsed / record.runtime : 0.0;
+            wasted_node_seconds += static_cast<double>(record.nodes) * elapsed;
+            if (job_attempts[run.job_slot] >= config.max_attempts_per_job) {
               ++result.dropped_attempt_cap;
               RM_LOG(kWarn) << "job " << record.id
                             << " dropped after attempt cap";
-              retire_job(run.trace_index);
+              retire_job(run.job_slot);
             } else {
-              enqueue(run.trace_index, /*retry=*/true);
+              enqueue(run.job_slot, /*retry=*/true);
             }
             break;
           }
           case Outcome::kIntrinsicFailure: {
             ++result.intrinsic_failed;
-            wasted_node_seconds +=
-                static_cast<double>(record.nodes) * (now - run.start);
-            retire_job(run.trace_index);
+            wasted_node_seconds += static_cast<double>(record.nodes) * elapsed;
+            // Non-resource failures are not resubmitted: rerunning a
+            // faulty program would fail again regardless of resources.
+            retire_job(run.job_slot);
             break;
           }
         }
@@ -1218,13 +646,11 @@ SimulationResult run_merge(trace::JobStream& stream,
   }
 
   result.submitted = pulled;
-  {
-    const Seconds span = last_submit - first_submit;
-    result.offered_load =
-        (span <= 0.0 || base_machines == 0)
-            ? 0.0
-            : pulled_work / (static_cast<double>(base_machines) * span);
-  }
+  const Seconds span = last_submit - first_submit;
+  result.offered_load =
+      (span <= 0.0 || base_machines == 0)
+          ? 0.0
+          : pulled_work / (static_cast<double>(base_machines) * span);
 
   // Jobs stranded in the queue when events ran out (possible only under
   // dynamic availability: the capacity they waited for never sufficed).
@@ -1232,14 +658,6 @@ SimulationResult run_merge(trace::JobStream& stream,
 
   result.makespan = last_event - first_submit;
   integrate_pools(last_event);
-  if (sharded) {
-    const auto merged = sharded->finish();
-    for (std::size_t i = 0;
-         i < merged.size() && i < pool_integrals.size(); ++i) {
-      pool_integrals[i].busy_node_seconds = merged[i].first;
-      pool_integrals[i].capacity_node_seconds = merged[i].second;
-    }
-  }
   for (const auto& pool : pool_integrals) {
     result.pool_utilization.push_back(
         {pool.capacity, pool.capacity_node_seconds > 0.0
@@ -1249,10 +667,9 @@ SimulationResult run_merge(trace::JobStream& stream,
   }
   capacity_integral += static_cast<double>(cluster.machine_count()) *
                        (last_event - capacity_since);
-  const double capacity_node_seconds = capacity_integral;
-  if (capacity_node_seconds > 0.0) {
-    result.utilization = productive_node_seconds / capacity_node_seconds;
-    result.wasted_fraction = wasted_node_seconds / capacity_node_seconds;
+  if (capacity_integral > 0.0) {
+    result.utilization = productive_node_seconds / capacity_integral;
+    result.wasted_fraction = wasted_node_seconds / capacity_integral;
   }
   result.mean_wait = wait_stats.mean();
   result.mean_slowdown = slowdown_stats.mean();
@@ -1262,14 +679,18 @@ SimulationResult run_merge(trace::JobStream& stream,
     result.throughput_per_hour =
         static_cast<double>(result.completed) / (result.makespan / 3600.0);
   }
+  if (result.resource_failures > 0) {
+    mr_result.mean_kill_progress =
+        kill_progress_sum / static_cast<double>(result.resource_failures);
+  }
   if (config.metrics) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    if (events_counter != nullptr) {
-      events_counter->inc(events_processed);
-    }
+    events_counter->inc(events_processed);
+    // Push-style gauges only: providers would capture locals that die with
+    // this frame.
     config.metrics
         ->gauge("resmatch_sim_wall_seconds", "Wall time of the last run")
         .set(wall);
@@ -1277,26 +698,24 @@ SimulationResult run_merge(trace::JobStream& stream,
         ->gauge("resmatch_sim_events_per_sec",
                 "Event throughput of the last run")
         .set(wall > 0.0 ? static_cast<double>(events_processed) / wall : 0.0);
+    config.metrics
+        ->counter("resmatch_sim_kill_mem_total",
+                  "Resource kills attributed to the memory dimension")
+        .inc(mr_result.kills_by_dim[kDimMem]);
+    config.metrics
+        ->counter("resmatch_sim_kill_cpu_total",
+                  "Resource kills attributed to the CPU dimension")
+        .inc(mr_result.kills_by_dim[kDimCpu]);
+    config.metrics
+        ->counter("resmatch_sim_kill_gpu_total",
+                  "Resource kills attributed to the GPU dimension")
+        .inc(mr_result.kills_by_dim[kDimGpu]);
+    config.metrics
+        ->counter("resmatch_sim_midjob_kills_total",
+                  "Resource kills timed by a footprint crossing")
+        .inc(mr_result.midjob_kills);
   }
-  return result;
-}
-
-void require_sorted(const trace::Workload& workload) {
-  const auto& jobs = workload.jobs;
-  for (std::size_t i = 1; i < jobs.size(); ++i) {
-    if (jobs[i].submit < jobs[i - 1].submit) {
-      throw std::invalid_argument(
-          "simulate: workload must be sorted by submit time");
-    }
-  }
-}
-
-void require_unsharded_anchor(const SimulationConfig& config) {
-  if (config.shards > 0) {
-    throw std::invalid_argument(
-        "simulate: heap_queue/baseline_loop are single-shard anchors; "
-        "shards require the default engine");
-  }
+  return mr_result;
 }
 
 }  // namespace
@@ -1306,13 +725,8 @@ SimulationResult simulate(const trace::Workload& workload,
                           core::Estimator& estimator,
                           sched::SchedulingPolicy& policy,
                           const SimulationConfig& config) {
-  require_sorted(workload);
-  if (config.baseline_loop || config.heap_queue) {
-    require_unsharded_anchor(config);
-    return run_legacy(workload, cluster_spec, estimator, policy, config);
-  }
   trace::VectorJobStream stream(workload);
-  return run_merge(stream, cluster_spec, estimator, policy, config);
+  return simulate(stream, cluster_spec, estimator, policy, config);
 }
 
 SimulationResult simulate(trace::JobStream& stream,
@@ -1320,18 +734,29 @@ SimulationResult simulate(trace::JobStream& stream,
                           core::Estimator& estimator,
                           sched::SchedulingPolicy& policy,
                           const SimulationConfig& config) {
-  if (config.baseline_loop || config.heap_queue) {
-    // The anchor engines want the whole vector; materialize. They exist
-    // for A/B comparison, not for cluster-scale memory budgets.
-    require_unsharded_anchor(config);
-    trace::Workload workload;
-    workload.name = stream.name();
-    workload.jobs.reserve(stream.size_hint());
-    while (auto job = stream.next()) workload.jobs.push_back(*std::move(job));
-    require_sorted(workload);
-    return run_legacy(workload, cluster_spec, estimator, policy, config);
+  core::VectorEstimator scalar(estimator);
+  return run(stream, nullptr, 1, cluster_spec, scalar, policy, config).base;
+}
+
+MrSimulationResult simulate_mr(const trace::ScenarioWorkload& scenario,
+                               const ClusterSpec& cluster_spec,
+                               core::VectorEstimator& estimator,
+                               sched::SchedulingPolicy& policy,
+                               const MrSimulationConfig& config) {
+  const std::size_t dims = config.dims;
+  if (dims < 1 || dims > kMaxResourceDims || dims > scenario.dims) {
+    throw std::invalid_argument("simulate_mr: dims out of range");
   }
-  return run_merge(stream, cluster_spec, estimator, policy, config);
+  if (scenario.mr.size() != scenario.base.jobs.size()) {
+    throw std::invalid_argument(
+        "simulate_mr: scenario.mr must parallel scenario.base.jobs");
+  }
+  if (estimator.dims() != dims) {
+    throw std::invalid_argument("simulate_mr: estimator dims mismatch");
+  }
+  trace::VectorJobStream stream(scenario.base);
+  return run(stream, &scenario.mr, dims, cluster_spec, estimator, policy,
+             config.base);
 }
 
 }  // namespace resmatch::sim

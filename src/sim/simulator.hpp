@@ -13,7 +13,10 @@
 //   * the estimator receives feedback after every attempt — implicit
 //     (success flag only) or explicit (plus true usage and failure cause).
 //
-// The run is fully deterministic given the seed.
+// The run is fully deterministic given the seed. Scalar runs are the
+// dims=1 case of the multi-resource loop (sim/mr_simulator.hpp): memory
+// is the only dimension, every footprint is flat, and the estimator is
+// driven through a core::VectorEstimator that borrows it.
 #pragma once
 
 #include <cstdint>
@@ -67,38 +70,12 @@ struct SimulationConfig {
   std::vector<AvailabilityEvent> availability;
   /// Optional engine observability (not owned; must outlive the run):
   /// exports resmatch_sim_events_total, resmatch_sim_events_per_sec,
-  /// resmatch_sim_wall_seconds, and the resmatch_sim_schedule_seconds
-  /// scheduler-decision histogram. Wall-clock feeds metrics only — the
-  /// simulated timeline stays seed-deterministic.
+  /// resmatch_sim_wall_seconds, the resmatch_sim_schedule_seconds
+  /// scheduler-decision histogram, and the per-dimension kill counters
+  /// (resmatch_sim_kill_{mem,cpu,gpu}_total, resmatch_sim_midjob_kills_total).
+  /// Wall-clock feeds metrics only — the simulated timeline stays
+  /// seed-deterministic.
   obs::Registry* metrics = nullptr;
-  /// Run the pre-optimization reference engine: per-event pool snapshot
-  /// allocation, per-iteration running-set rebuild, per-event active-job
-  /// recount, no preview memoization, tail-shifting queue removal. The
-  /// reference engine makes the SAME decisions — SimulationResult and any
-  /// attached TimeSeries are byte-identical to the default engine for the
-  /// same seed (tests/perf_equiv_test enforces this) — it exists only as
-  /// the A/B anchor for bench/micro_core --baseline-loop.
-  bool baseline_loop = false;
-  /// Run the pre-calendar-queue engine: every event (all arrivals up
-  /// front, availability, job ends) flows through the binary-heap
-  /// EventQueue, and the trace is fully materialized. The default engine
-  /// instead merges an arrival cursor, an availability cursor, and a
-  /// calendar queue holding only job-end events — same decisions, byte
-  /// identical results (tests/scale_equiv_test enforces this) — so this
-  /// flag exists only as the A/B anchor for bench/micro_core --scale,
-  /// exactly as baseline_loop anchors the PR 4 loop optimizations.
-  /// Implied by baseline_loop. Incompatible with shards.
-  bool heap_queue = false;
-  /// Shard the per-pool occupancy bookkeeping across this many worker
-  /// threads (0 = inline, the default). Scheduling decisions are made on
-  /// the simulation thread either way — decisions are global, so they
-  /// cannot be partitioned without changing results — while the per-event
-  /// O(#pools) busy/present integration is replayed from the cluster's
-  /// delta log by workers owning pool i when i % shards == worker. Same
-  /// scenario + seed => byte-identical SimulationResult for any shard
-  /// count (CI-gated), because each pool's integral is the same sequence
-  /// of adds no matter which thread runs it.
-  std::size_t shards = 0;
 };
 
 /// Run one simulation. `workload` must be sorted by submit time (see
@@ -115,9 +92,7 @@ struct SimulationConfig {
 /// peak memory is O(jobs in the system), not O(trace length). The stream
 /// must yield jobs in non-decreasing submit order (checked as records are
 /// pulled). Byte-identical to materializing the same stream and calling
-/// the overload above. With config.heap_queue/baseline_loop set the
-/// anchor engines need the full vector, so the stream is materialized
-/// internally first.
+/// the overload above.
 [[nodiscard]] SimulationResult simulate(trace::JobStream& stream,
                                         const ClusterSpec& cluster_spec,
                                         core::Estimator& estimator,

@@ -26,6 +26,18 @@ TEST(Availability, AddUnknownCapacityThrows) {
   EXPECT_THROW(cluster.remove_machines(16.0, 2), std::invalid_argument);
 }
 
+TEST(Availability, AmbiguousCapacityThrows) {
+  // Same memory, different GPU: two capacity classes that a memory-only
+  // availability event cannot tell apart. Neither pool may be resized.
+  Cluster cluster({{32.0, 4, 8.0, 0.0}, {32.0, 4, 8.0, 4.0}});
+  ASSERT_EQ(cluster.pool_count(), 2u);
+  EXPECT_THROW(cluster.add_machines(32.0, 2), std::invalid_argument);
+  EXPECT_THROW(cluster.remove_machines(32.0, 2), std::invalid_argument);
+  EXPECT_EQ(cluster.machine_count(), 8u);
+  EXPECT_EQ(cluster.pool_counters(0).present, 4u);
+  EXPECT_EQ(cluster.pool_counters(1).present, 4u);
+}
+
 TEST(Availability, RemoveFreeMachinesIsImmediate) {
   Cluster cluster({{32.0, 4}});
   cluster.remove_machines(32.0, 3);

@@ -7,10 +7,6 @@
 // stress different tiers: uniform (rungs), exponential tails (top spill),
 // heavy ties (bucket sorts and the degenerate equal-time path), and
 // all-at-once drains large enough to force ladder degradation.
-//
-// Also covers the EventQueue growth policy: reserve() pre-sizing and the
-// shrink-on-drain release that keeps a drained queue from pinning its
-// peak footprint.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -211,56 +207,6 @@ TEST(CalendarQueue, SteadyStateWindowMatchesHeap) {
     ASSERT_EQ(he.payload, ce.payload);
     now = he.time;
   }
-}
-
-// --- EventQueue growth policy -------------------------------------------
-
-TEST(EventQueue, ReservePresizesBackingStore) {
-  sim::EventQueue<int> q;
-  q.reserve(100000);
-  EXPECT_GE(q.capacity(), 100000u);
-  for (int i = 0; i < 1000; ++i) q.push(static_cast<double>(i), i);
-  EXPECT_GE(q.capacity(), 100000u);  // no reallocation below the reserve
-}
-
-TEST(EventQueue, DrainReleasesLargeBackingStore) {
-  sim::EventQueue<int> q;
-  const std::size_t n = 1u << 18;  // > shrink floor
-  for (std::size_t i = 0; i < n; ++i) {
-    q.push(static_cast<double>(i), static_cast<int>(i));
-  }
-  const std::size_t peak = q.capacity();
-  ASSERT_GE(peak, n);
-  double last = -1.0;
-  while (!q.empty()) {
-    const auto e = q.pop();
-    ASSERT_GT(e.time, last);
-    last = e.time;
-  }
-  // A drained queue must not pin its peak footprint.
-  EXPECT_LT(q.capacity(), peak / 4);
-}
-
-TEST(EventQueue, ShrinkPreservesPopOrder) {
-  sim::EventQueue<std::size_t> q;
-  util::Rng rng(5);
-  std::vector<std::pair<double, std::size_t>> expected;
-  const std::size_t n = (1u << 17) + 12345;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = rng.uniform() * 1e6;
-    q.push(t, i);
-    expected.emplace_back(t, i);
-  }
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (const auto& [t, payload] : expected) {
-    const auto e = q.pop();
-    ASSERT_EQ(e.time, t);
-    ASSERT_EQ(e.payload, payload);
-  }
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace
