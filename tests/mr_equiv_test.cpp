@@ -6,9 +6,11 @@
 // same queue mechanics, same aggregates, byte for byte. The golden grid
 // digests (tests/sim_golden.hpp) anchor it to the original simulator.
 //
-// The multi-dimension tests then pin what the vector path ADDS: kills
-// attributed to the culprit dimension only, and footprint crossings that
-// time kills deterministically instead of by the paper's uniform draw.
+// The dims>1 golden grid pins the vector runs of every multi-resource
+// scenario at dims 2 and 3. The multi-dimension tests then pin what the
+// vector path ADDS: kills attributed to the culprit dimension only, and
+// footprint crossings that time kills deterministically instead of by the
+// paper's uniform draw.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -63,6 +65,29 @@ TEST(MrEquivalence, DimsOneBitIdenticalToScalarEngine) {
                 golden::run_workload(scenario.base, cluster, "fcfs",
                                      estimator, cfg));
       expect_memory_blame_only(mr);
+    }
+  }
+}
+
+TEST(MrEquivalence, MultiResourceGoldenDigests) {
+  // The pinned dims>1 grid (tests/sim_golden.hpp): every multi-resource
+  // scenario at dims 2 and 3, by policy and estimator arm.
+  for (std::size_t s = 0; s < std::size(golden::kMrScenarios); ++s) {
+    const trace::ScenarioWorkload scenario =
+        exp::make_scenario(golden::kMrScenarios[s], 42, 1200);
+    for (const std::size_t dims : {2u, 3u}) {
+      for (std::size_t p = 0; p < std::size(golden::kPolicies); ++p) {
+        for (std::size_t a = 0; a < std::size(golden::kMrArms); ++a) {
+          const golden::MrArm& arm = golden::kMrArms[a];
+          SCOPED_TRACE(std::string(golden::kMrScenarios[s]) +
+                       " dims=" + std::to_string(dims) + " / " +
+                       golden::kPolicies[p] + " / " + arm.estimator +
+                       (arm.explicit_feedback ? " explicit" : " implicit"));
+          EXPECT_EQ(
+              golden::run_scenario(scenario, dims, golden::kPolicies[p], arm),
+              golden::kMrDigests[s][dims - 2][p][a]);
+        }
+      }
     }
   }
 }

@@ -5,11 +5,15 @@
 // SimulationResult — integers as-is, doubles by bit pattern, every
 // pool_utilization entry — and every point of the attached TimeSeries.
 // Equal digests therefore mean bit-identical results and time series.
-// The pinned digests were captured from the two engines the single
+// The pinned dims=1 digests were captured from the two engines the single
 // simulation loop replaced, the seed loop and the binary-heap loop (once
 // selected by SimulationConfig::baseline_loop and heap_queue). Both
 // agreed on every digest. Every simulator entry point must keep
 // reproducing them.
+//
+// The multi-resource digests (kMrDigests) add the vector fields of an
+// MrSimulationResult. They were captured from the single loop, which was
+// the only dims>1 engine left, and hold its vector runs in place.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 
 #include "core/factory.hpp"
 #include "core/multi_resource.hpp"
+#include "exp/scenarios.hpp"
 #include "sched/factory.hpp"
 #include "sim/mr_simulator.hpp"
 #include "sim/simulator.hpp"
@@ -78,6 +83,18 @@ inline std::uint64_t digest(const sim::SimulationResult& r,
     h.add(std::uint64_t{p.queue_length});
     h.add(std::uint64_t{p.running_jobs});
   }
+  return h.value();
+}
+
+/// digest() of the base result and time series, plus the vector run's
+/// per-dimension kills, mid-job kills and mean kill progress.
+inline std::uint64_t digest(const sim::MrSimulationResult& r,
+                            const sim::TimeSeries& ts) {
+  Fnv1a h;
+  h.add(digest(r.base, ts));
+  for (const std::size_t kills : r.kills_by_dim) h.add(std::uint64_t{kills});
+  h.add(std::uint64_t{r.midjob_kills});
+  h.add(r.mean_kill_progress);
   return h.value();
 }
 
@@ -215,6 +232,33 @@ inline std::uint64_t run_mr(const trace::Workload& w,
   return digest(run_mr_dims1(w, spec, policy, estimator, cfg, ts).base, ts);
 }
 
+/// An estimator arm of the multi-resource grid.
+struct MrArm {
+  const char* estimator;
+  bool explicit_feedback;
+};
+
+/// simulate_mr of `scenario` at `dims` on exp::scenario_cluster(dims),
+/// sim seed 7.
+inline std::uint64_t run_scenario(const trace::ScenarioWorkload& scenario,
+                                  std::size_t dims, const std::string& policy,
+                                  const MrArm& arm) {
+  sim::TimeSeries ts(kSampleInterval);
+  sim::MrSimulationConfig cfg;
+  cfg.base.seed = 7;
+  cfg.base.explicit_feedback = arm.explicit_feedback;
+  cfg.base.timeseries = &ts;
+  cfg.dims = dims;
+  core::VectorEstimatorConfig est_cfg;
+  est_cfg.dims = dims;
+  est_cfg.estimator = arm.estimator;
+  core::VectorEstimator est(est_cfg);
+  const auto pol = sched::make_policy(policy);
+  return digest(sim::simulate_mr(scenario, exp::scenario_cluster(dims), est,
+                                 *pol, cfg),
+                ts);
+}
+
 /// `pinned` must come out of simulate(Workload), simulate(JobStream&)
 /// and simulate_mr at dims=1 alike.
 inline void expect_every_entry_point(std::uint64_t pinned,
@@ -247,6 +291,42 @@ inline constexpr std::uint64_t kGridDigests[3][4] = {
      0xF51F1B5564E31AA0ULL},
     {0xF4696FD441CE03C5ULL, 0x1A061782C943BF2DULL, 0xAE71B8B2122A79B9ULL,
      0x88D19FAACFAC665AULL},
+};
+
+/// The multi-resource scenarios and estimator arms of the dims>1 grid.
+inline constexpr const char* kMrScenarios[] = {"cloud-diurnal", "flash-crowd",
+                                               "adversarial"};
+inline constexpr MrArm kMrArms[] = {{"successive-approximation", false},
+                                    {"successive-approximation", true},
+                                    {"quantile", true}};
+
+/// run_scenario over make_scenario(name, 42, 1200), by scenario, dims
+/// (2, 3), policy (kPolicies) and arm (kMrArms). The two SA arms agree:
+/// successive approximation reads only success, so explicit feedback's
+/// per-dimension blame never reaches it. On flash-crowd and adversarial
+/// the three policies make the same decisions at this size.
+inline constexpr std::uint64_t kMrDigests[3][2][3][3] = {
+    // cloud-diurnal: dims=2, then dims=3
+    {{{0x0B16F9ACD3C482A6ULL, 0x0B16F9ACD3C482A6ULL, 0x460CE25647315100ULL},
+      {0x82605992FA5F3716ULL, 0x82605992FA5F3716ULL, 0x6B246A7B3E84732FULL},
+      {0x6747774CDA627184ULL, 0x6747774CDA627184ULL, 0x677AFD0122CF6C98ULL}},
+     {{0x0853C7ECAED02E72ULL, 0x0853C7ECAED02E72ULL, 0x1BB56F21136D1BFBULL},
+      {0x0BE638CB2D2E9D00ULL, 0x0BE638CB2D2E9D00ULL, 0xA2938E9736107AC4ULL},
+      {0xE34473716A08DF4BULL, 0xE34473716A08DF4BULL, 0xB090FE5EC51DAAA0ULL}}},
+    // flash-crowd: dims=2, then dims=3
+    {{{0xE2A6264DD603E090ULL, 0xE2A6264DD603E090ULL, 0x0F318FA5D80B7A5EULL},
+      {0xE2A6264DD603E090ULL, 0xE2A6264DD603E090ULL, 0x0F318FA5D80B7A5EULL},
+      {0xE2A6264DD603E090ULL, 0xE2A6264DD603E090ULL, 0x0F318FA5D80B7A5EULL}},
+     {{0xBB5252A4E51BB7B5ULL, 0xBB5252A4E51BB7B5ULL, 0xC0FA3013D2964AFBULL},
+      {0xBB5252A4E51BB7B5ULL, 0xBB5252A4E51BB7B5ULL, 0xC0FA3013D2964AFBULL},
+      {0xBB5252A4E51BB7B5ULL, 0xBB5252A4E51BB7B5ULL, 0xC0FA3013D2964AFBULL}}},
+    // adversarial: dims=2, then dims=3
+    {{{0xE2E64C99F1979A35ULL, 0xE2E64C99F1979A35ULL, 0x6B3559C8E2B50DC4ULL},
+      {0xE2E64C99F1979A35ULL, 0xE2E64C99F1979A35ULL, 0x6B3559C8E2B50DC4ULL},
+      {0xE2E64C99F1979A35ULL, 0xE2E64C99F1979A35ULL, 0x6B3559C8E2B50DC4ULL}},
+     {{0xDA0C78DE692280A9ULL, 0xDA0C78DE692280A9ULL, 0xD900ECDD4620C630ULL},
+      {0xDA0C78DE692280A9ULL, 0xDA0C78DE692280A9ULL, 0xD900ECDD4620C630ULL},
+      {0xDA0C78DE692280A9ULL, 0xDA0C78DE692280A9ULL, 0xD900ECDD4620C630ULL}}},
 };
 
 }  // namespace resmatch::golden
