@@ -524,7 +524,7 @@ MrSimulationResult run(trace::JobStream& stream,
         if (change.delta >= 0) {
           cluster.add_machines(change.capacity,
                                static_cast<std::size_t>(change.delta));
-          if (pending_capacity_adds > 0) --pending_capacity_adds;
+          if (change.delta > 0) --pending_capacity_adds;
         } else {
           cluster.remove_machines(change.capacity,
                                   static_cast<std::size_t>(-change.delta));

@@ -151,6 +151,18 @@ TEST(AvailabilitySim, ShrinkCanMakeQueuedJobUnschedulable) {
   EXPECT_EQ(result.dropped_unschedulable, 1u);
 }
 
+TEST(AvailabilitySim, ZeroDeltaEventKeepsPendingAdditionPending) {
+  // Regression: a no-op event ahead of the one real addition used to
+  // consume the pending-addition count, so the 4-node job waiting for
+  // the two extra machines looked unschedulable and was dropped.
+  trace::Workload w;
+  w.jobs = {job_at(1, 10, 100, 4)};
+  const auto result = run_with_availability(
+      w, {{32.0, 2}}, {{5.0, 32.0, 0}, {100.0, 32.0, 2}});
+  EXPECT_EQ(result.completed, 1u);
+  EXPECT_EQ(result.dropped_unschedulable, 0u);
+}
+
 TEST(AvailabilitySim, EstimationStillHelpsOnElasticCluster) {
   // Heterogeneous elastic cluster: the 24 MiB pool disappears mid-trace
   // and returns; estimation must keep its advantage and lose no jobs.
