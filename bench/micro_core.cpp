@@ -232,8 +232,8 @@ int run_sim_section(std::size_t sim_jobs, const std::string& metrics_out) {
 // read the child's peak RSS from wait4() (process-wide peaks are sticky,
 // so arms sharing a process would both report the larger one):
 //
-//   calendar   materialized trace
-//   streamed   on-the-fly CM5 generation, O(jobs in flight) memory
+//   materialized  generated trace held in memory
+//   streamed      on-the-fly CM5 generation, O(jobs in flight) memory
 //
 // Both arms must produce a byte-identical result digest; a mismatch is a
 // hard failure, making this bench double as the cluster-scale
@@ -267,10 +267,10 @@ struct ScaleWire {
   }
 };
 
-enum class ScaleArm { kCalendar, kStreamed };
+enum class ScaleArm { kMaterialized, kStreamed };
 
 const char* scale_arm_name(ScaleArm arm) {
-  return arm == ScaleArm::kCalendar ? "calendar" : "streamed";
+  return arm == ScaleArm::kMaterialized ? "materialized" : "streamed";
 }
 
 /// The full CM5 calibration scaled to the requested population. Few
@@ -390,10 +390,10 @@ int run_scale_section(std::size_t jobs, std::size_t machines,
   std::printf("== cluster-scale simulation (fcfs + successive-approximation, "
               "%zu machines, %zu jobs) ==\n",
               machines, jobs);
-  std::printf("%-10s  %10s  %8s  %12s  %12s\n", "arm", "events", "wall s",
+  std::printf("%-12s  %10s  %8s  %12s  %12s\n", "arm", "events", "wall s",
               "events/s", "peak MiB");
 
-  constexpr ScaleArm kArms[] = {ScaleArm::kCalendar, ScaleArm::kStreamed};
+  constexpr ScaleArm kArms[] = {ScaleArm::kMaterialized, ScaleArm::kStreamed};
   constexpr std::size_t kArmCount = std::size(kArms);
   ScaleWire wires[kArmCount];
   double rss[kArmCount] = {};
@@ -409,7 +409,7 @@ int run_scale_section(std::size_t jobs, std::size_t machines,
                  ? static_cast<double>(wires[i].events) /
                        wires[i].wall_seconds
                  : 0.0;
-    std::printf("%-10s  %10llu  %8.3f  %12.0f  %12.1f\n",
+    std::printf("%-12s  %10llu  %8.3f  %12.0f  %12.1f\n",
                 scale_arm_name(kArms[i]),
                 static_cast<unsigned long long>(wires[i].events),
                 wires[i].wall_seconds, eps[i], rss[i]);
@@ -438,9 +438,9 @@ int run_scale_section(std::size_t jobs, std::size_t machines,
     record.config("policy", "fcfs");
     record.config("estimator", "successive-approximation");
     record.summary("events_total", static_cast<double>(wires[0].events));
-    record.summary("events_per_sec_calendar", eps[0]);
+    record.summary("events_per_sec_materialized", eps[0]);
     record.summary("events_per_sec_streamed", eps[1]);
-    record.summary("peak_rss_mib_calendar", rss[0]);
+    record.summary("peak_rss_mib_materialized", rss[0]);
     record.summary("peak_rss_mib_streamed", rss[1]);
     record.summary("rss_ratio_streamed_vs_materialized", rss_ratio);
     record.summary("equivalence_ok", 1.0);

@@ -13,7 +13,7 @@
 #include "core/multi_resource.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/mr_simulator.hpp"
 #include "sim/timeseries.hpp"
 #include "stats/percentile.hpp"
@@ -57,13 +57,14 @@ struct PoolIntegral {
 //
 //   class 0: the arrival stream, one-record lookahead;
 //   class 1: availability changes, a cursor over a pre-sorted index;
-//   class 2: job-end events, the only dynamic set, in a calendar queue
-//            sized by jobs *in flight*, not trace length.
+//   class 2: job-end events, the only dynamic set, in a binary heap
+//            (sim::EventQueue) sized by jobs *in flight*, not trace
+//            length.
 //
 // Smallest time wins; equal times pop arrival < availability < job end,
-// each class in cursor/push order. That is the order the binary-heap
-// engine this loop replaced produced (arrivals pushed first, then
-// availability, then job ends), and the golden digests in
+// each class in cursor/push order. That is the order the engine this
+// loop replaced produced by pushing every event into one heap (arrivals
+// first, then availability, then job ends), and the golden digests in
 // tests/sim_golden.hpp hold every entry point to it bit for bit.
 //
 // A run packs `dims` resource dimensions (memory first). `annotations`,
@@ -131,7 +132,7 @@ MrSimulationResult run(trace::JobStream& stream,
   }
 
   // --- class 2: job ends --------------------------------------------------
-  CalendarQueue<std::size_t> events;  // payload: running slot
+  EventQueue<std::size_t> events;  // payload: running slot
 
   // Live jobs, slot-allocated: a slot holds the record (and its attempt
   // count) from arrival until the job leaves the system, so memory tracks
@@ -405,6 +406,7 @@ MrSimulationResult run(trace::JobStream& stream,
     }
     ++active_jobs;
     index_insert(slot, run_info);
+    assert(end >= now);
     events.push(end, slot);
     return true;
   };

@@ -2,11 +2,9 @@
 // best/worst-fit allocation, and the capacity ladder it exports.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "sim/cluster.hpp"
-#include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace resmatch::sim {
@@ -194,47 +192,6 @@ TEST(PoolCounters, RandomizedChurnMatchesSnapshot) {
     cluster.release(alloc);
     expect_counters_match_snapshot(cluster);
   }
-}
-
-TEST(EventQueue, OrdersByTime) {
-  EventQueue<int> q;
-  q.push(3.0, 30);
-  q.push(1.0, 10);
-  q.push(2.0, 20);
-  EXPECT_EQ(q.pop().payload, 10);
-  EXPECT_EQ(q.pop().payload, 20);
-  EXPECT_EQ(q.pop().payload, 30);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, StableAtEqualTimes) {
-  EventQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.push(5.0, i);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop().payload, i);
-}
-
-TEST(EventQueue, TopPeeksWithoutPopping) {
-  EventQueue<int> q;
-  q.push(1.0, 42);
-  EXPECT_EQ(q.top().payload, 42);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, MoveOnlyPayload) {
-  // Regression: pop() used to deep-copy the top event because
-  // priority_queue::top() returns a const reference; move-only payloads
-  // did not even compile. pop() must move the payload out.
-  EventQueue<std::unique_ptr<int>> q;
-  q.push(2.0, std::make_unique<int>(2));
-  q.push(1.0, std::make_unique<int>(1));
-  q.push(1.0, std::make_unique<int>(10));
-  auto first = q.pop();
-  ASSERT_TRUE(first.payload);
-  EXPECT_EQ(*first.payload, 1);
-  // Tie at t=1.0 resolves by insertion order (seq), as before.
-  EXPECT_EQ(*q.pop().payload, 10);
-  EXPECT_EQ(*q.pop().payload, 2);
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

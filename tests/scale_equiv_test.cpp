@@ -1,10 +1,12 @@
 // Cluster-scale engine equivalence gates.
 //
-// The calendar-queue merge engine must make EXACTLY the decisions of the
-// binary-heap engine it replaced, and streaming a trace must be invisible
-// in the results. Both hold by pinned digests (tests/sim_golden.hpp)
-// captured from the heap engine, which every entry point — materialized
-// workload, JobStream, and simulate_mr at dims=1 — must reproduce.
+// The loop that merges the arrival stream, the availability cursor and
+// a job-end heap must make EXACTLY the decisions of the engine that
+// pre-pushed every arrival into one heap, and streaming a trace must be
+// invisible in the results. Both hold by pinned digests
+// (tests/sim_golden.hpp) captured from that engine, which every entry
+// point — materialized workload, JobStream, and simulate_mr at dims=1 —
+// must reproduce.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
