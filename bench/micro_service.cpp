@@ -322,9 +322,14 @@ int main(int argc, char** argv) {
   g_durability.wal_dir = wal_dir;
   g_durability.wal_fsync_every = wal_fsync_every;
   if (fault_rate > 0.0) {
-    // Keep runs of injected failures shorter than the retry budget so
-    // the bench measures the retry path, not degraded-mode pass-through.
-    injector.arm_all(util::FaultSpec{fault_rate, /*max_consecutive=*/3});
+    // Keep every injected fault recoverable by retry so the bench measures
+    // the retry path, not degraded-mode pass-through. A forced commit
+    // attempt is a write and an fsync, two sites: with each capped at one
+    // consecutive failure, a commit succeeds by its 4th attempt, inside
+    // the default budget of 6. Worker-thread spawn is never retried (the
+    // constructor rethrows it), so it stays disarmed.
+    injector.arm_all(util::FaultSpec{fault_rate, /*max_consecutive=*/1});
+    injector.arm(util::FaultSite::kThreadSpawn, util::FaultSpec{});
     g_durability.faults = &injector;
   }
 

@@ -28,9 +28,9 @@
 // switches to the crash-recovery harness (sim::crash_replay): serve N
 // jobs, crash, recover a fresh service from the WAL, finish the workload,
 // and diff against an uninterrupted fault-free run. --fault-rate arms the
-// deterministic injector (seeded by --fault-seed) on every site, with the
-// consecutive-failure cap kept below the retry budget so injected faults
-// are always recoverable.
+// deterministic injector (seeded by --fault-seed) on every retried site,
+// with no site failing twice in a row, so injected faults are always
+// recoverable.
 #include <cstdio>
 #include <string>
 
@@ -73,9 +73,13 @@ int main(int argc, char** argv) {
 
   util::FaultInjector injector(fault_seed);
   if (fault_rate > 0.0) {
-    // Cap consecutive failures below the default retry budget (6 attempts)
-    // so every injected fault is recoverable and the run still passes.
-    injector.arm_all(util::FaultSpec{fault_rate, /*max_consecutive=*/3});
+    // Every injected fault must be recoverable by retry. A forced commit
+    // attempt is a write and an fsync, two sites: with each capped at one
+    // consecutive failure, a commit succeeds by its 4th attempt, inside
+    // the default budget of 6. Worker-thread spawn is never retried (the
+    // constructor rethrows it), so it stays disarmed.
+    injector.arm_all(util::FaultSpec{fault_rate, /*max_consecutive=*/1});
+    injector.arm(util::FaultSite::kThreadSpawn, util::FaultSpec{});
   }
 
   sim::ServeReplayConfig config;

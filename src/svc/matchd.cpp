@@ -95,84 +95,9 @@ void Matchd::set_ladder(core::CapacityLadder ladder) {
 }
 
 MatchDecision Matchd::submit(const trace::JobRecord& job) {
-  const bool timed = submit_hist_ != nullptr && latency_sampled();
-  const auto t0 = timed ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-  const std::uint64_t key = key_fn_(job);
-
-  if (wal_ && degraded_.load(std::memory_order_relaxed) &&
-      !try_exit_degraded(key)) {
-    // Pass-through: grant the rounded raw request without touching group
-    // state, so nothing is learned that the log could not record.
-    degraded_ops_.fetch_add(1, std::memory_order_relaxed);
-    MatchDecision decision;
-    decision.granted_mib = ladder_.round_up(job.requested_mem_mib);
-    decision.group_key = key;
-    counters_[store_.shard_of(key)].submissions.fetch_add(
-        1, std::memory_order_relaxed);
-    if (timed) {
-      submit_hist_->record(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-    }
-    return decision;
-  }
-
-  bool buffered = true;
-  MiB granted = 0.0;
-  if (model_) {
-    // Model decisions serialize on the model mutex (the model is global
-    // state, not shard-striped); the post-decision state is framed under
-    // the same mutex so the log carries one total order for the model.
-    std::lock_guard<std::mutex> lock(model_mutex_);
-    granted = model_->estimate(job, core::SystemState{});
-    if (wal_) buffered = wal_buffer_model_locked();
-  } else {
-    granted = store_.with_group(
-        key,
-        [&] {
-          return core::SaGroupState::fresh(job.requested_mem_mib,
-                                           config_.alpha);
-        },
-        [&](core::SaGroupState& g) {
-          const MiB r = g.commit(ladder_);
-          // Under the shard lock: frame ORDER is fixed at buffering time,
-          // so the I/O (and its backoff sleeps) can run after release
-          // without reordering the log or stalling the shard's other keys.
-          if (wal_) buffered = wal_buffer_locked(key, g);
-          return r;
-        });
-  }
-  if (wal_) {
-    bool durable = buffered;
-    if (durable) {
-      durable = model_ ? wal_commit_index(kModelWalShard, key)
-                       : wal_commit(key);
-    } else {
-      wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!durable) {
-      enter_degraded();
-    } else {
-      maybe_compact();
-    }
-  }
-
-  MatchDecision decision;
-  decision.granted_mib = granted;
-  decision.group_key = key;
-  decision.lowered =
-      granted + kGrantEps < ladder_.round_up(job.requested_mem_mib);
-
-  ShardCounters& c = counters_[store_.shard_of(key)];
-  c.submissions.fetch_add(1, std::memory_order_relaxed);
-  if (decision.lowered) c.rewrites.fetch_add(1, std::memory_order_relaxed);
-  if (timed) {
-    submit_hist_->record(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-  }
-  return decision;
+  Op op{Request::Kind::kSubmit, &job};
+  apply_sync(op, submit_hist_);
+  return op.decision;
 }
 
 MiB Matchd::preview(const trace::JobRecord& job) const {
@@ -191,126 +116,168 @@ MiB Matchd::preview(const trace::JobRecord& job) const {
 }
 
 void Matchd::cancel(const trace::JobRecord& job, MiB granted) {
-  const bool timed = cancel_hist_ != nullptr && latency_sampled();
-  const auto t0 = timed ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-  const std::uint64_t key = key_fn_(job);
-  if (wal_ && degraded_.load(std::memory_order_relaxed) &&
-      !try_exit_degraded(key)) {
-    // The probe slot being released was claimed by a pre-degradation
-    // submit; dropping the cancel keeps memory and log consistent (the
-    // group re-syncs on its next recorded transition).
-    degraded_ops_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  bool buffered = true;
-  if (model_) {
-    {
-      std::lock_guard<std::mutex> lock(model_mutex_);
-      model_->cancel(job, granted);
-      if (wal_) buffered = wal_buffer_model_locked();
-    }
-    counters_[store_.shard_of(key)].cancels.fetch_add(
-        1, std::memory_order_relaxed);
-    if (wal_) {
-      bool durable = buffered;
-      if (durable) {
-        durable = wal_commit_index(kModelWalShard, key);
-      } else {
-        wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!durable) {
-        enter_degraded();
-      } else {
-        maybe_compact();
-      }
-    }
-  } else if (store_.modify_if_present(key, [&](core::SaGroupState& g) {
-               g.cancel(granted);
-               if (wal_) buffered = wal_buffer_locked(key, g);
-             })) {
-    counters_[store_.shard_of(key)].cancels.fetch_add(
-        1, std::memory_order_relaxed);
-    if (wal_) {
-      bool durable = buffered;
-      if (durable) {
-        durable = wal_commit(key);
-      } else {
-        wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!durable) {
-        enter_degraded();
-      } else {
-        maybe_compact();
-      }
-    }
-  }
-  if (timed) {
-    cancel_hist_->record(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-  }
+  Op op{Request::Kind::kCancel, &job, nullptr, granted};
+  apply_sync(op, cancel_hist_);
 }
 
 void Matchd::feedback(const JobOutcome& outcome) {
-  const bool timed = feedback_hist_ != nullptr && latency_sampled();
+  Op op{Request::Kind::kFeedback, &outcome.job, &outcome.feedback};
+  apply_sync(op, feedback_hist_);
+}
+
+void Matchd::apply_sync(Op& op, obs::Histogram* latency) {
+  const bool timed = latency != nullptr && latency_sampled();
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
-  const trace::JobRecord& job = outcome.job;
-  const std::uint64_t key = key_fn_(job);
-  if (wal_ && degraded_.load(std::memory_order_relaxed) &&
-      !try_exit_degraded(key)) {
-    // Drop rather than learn-without-recording: a lesson absent from the
-    // log would silently vanish on recovery.
-    degraded_ops_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Create-if-missing mirrors the offline estimator: feedback for an
-  // evicted (or never-seen) group re-enters at the request, then applies
-  // the outcome.
-  bool buffered = true;
-  bool success = false;
-  if (model_) {
-    std::lock_guard<std::mutex> lock(model_mutex_);
-    model_->feedback(job, outcome.feedback);
-    success = outcome.feedback.success;
-    if (wal_) buffered = wal_buffer_model_locked();
-  } else {
-    success = store_.with_group(
-        key,
-        [&] {
-          return core::SaGroupState::fresh(job.requested_mem_mib,
-                                           config_.alpha);
-        },
-        [&](core::SaGroupState& g) {
-          const bool ok = g.apply_feedback(outcome.feedback,
-                                           job.requested_mem_mib, ladder_,
-                                           config_.beta);
-          if (wal_) buffered = wal_buffer_locked(key, g);
-          return ok;
-        });
-  }
-  if (wal_) {
-    bool durable = buffered;
-    if (durable) {
-      durable = model_ ? wal_commit_index(kModelWalShard, key)
-                       : wal_commit(key);
-    } else {
-      wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!durable) {
-      enter_degraded();
-    } else {
-      maybe_compact();
-    }
-  }
-  ShardCounters& c = counters_[store_.shard_of(key)];
-  (success ? c.successes : c.failures)
-      .fetch_add(1, std::memory_order_relaxed);
+  apply({&op, 1}, /*force_commit=*/false);
   if (timed) {
-    feedback_hist_->record(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
+    latency->record(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+  }
+}
+
+void Matchd::apply(std::span<Op> ops, bool force_commit) {
+  for (Op& op : ops) {
+    op.key = key_fn_(*op.job);
+    op.shard = store_.shard_of(op.key);
+    op.decision.group_key = op.key;
+  }
+
+  // Degraded probes. Heartbeats do their own WAL I/O, so they run before
+  // any lock is taken: one probe per request while degraded.
+  if (wal_) {
+    for (Op& op : ops) {
+      if (degraded_.load(std::memory_order_relaxed) &&
+          !try_exit_degraded(op.key)) {
+        // Pass-through: a submit gets the rounded raw request; feedback
+        // and cancel are dropped, so nothing is learned that the log could
+        // not record (a dropped cancel's group re-syncs on its next
+        // recorded transition).
+        op.pass_through = true;
+        op.decision.granted_mib = ladder_.round_up(op.job->requested_mem_mib);
+        degraded_ops_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  // Transitions. Each WAL frame is buffered (no I/O) under the lock that
+  // ordered its transition, so frame order is fixed before the lock is
+  // released: the commit below can retry and back off without reordering
+  // the log or stalling the lock's other keys.
+  if (model_) {
+    // The learned model is one global object: apply in ARRIVAL order under
+    // one mutex hold, since a shard sort would reorder its training
+    // sequence. The mutex also orders the model frames in the log.
+    std::lock_guard<std::mutex> lock(model_mutex_);
+    for (Op& op : ops) {
+      if (op.pass_through) continue;
+      switch (op.kind) {
+        case Request::Kind::kSubmit:
+          op.decision.granted_mib =
+              model_->estimate(*op.job, core::SystemState{});
+          break;
+        case Request::Kind::kFeedback:
+          model_->feedback(*op.job, *op.fb);
+          op.success = op.fb->success;
+          break;
+        case Request::Kind::kCancel:
+          model_->cancel(*op.job, op.granted);
+          break;
+      }
+      op.applied = true;
+      if (wal_) op.framed = wal_buffer_model_locked();
+    }
+  } else {
+    // Sort by store shard, stably, so same-key requests keep their arrival
+    // order and every group's trajectory matches an unbatched run;
+    // cross-key reordering commutes (distinct groups). stable_sort
+    // allocates even for one element, so a single request skips it.
+    Op* single = ops.data();
+    Op* const* order = &single;
+    std::vector<Op*> sorted;
+    if (ops.size() > 1) {
+      sorted.reserve(ops.size());
+      for (Op& op : ops) sorted.push_back(&op);
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [](const Op* a, const Op* b) {
+                         return a->shard < b->shard;
+                       });
+      order = sorted.data();
+    }
+
+    // One lock hold per shard run.
+    for (std::size_t run_begin = 0; run_begin < ops.size();) {
+      const std::size_t shard = order[run_begin]->shard;
+      std::size_t run_end = run_begin;
+      while (run_end < ops.size() && order[run_end]->shard == shard) {
+        ++run_end;
+      }
+      store_.with_shard(shard, [&](auto& locked) {
+        for (std::size_t j = run_begin; j < run_end; ++j) {
+          Op& op = *order[j];
+          if (op.pass_through) continue;
+          const auto step = [&](core::SaGroupState& g) {
+            switch (op.kind) {
+              case Request::Kind::kSubmit:
+                op.decision.granted_mib = g.commit(ladder_);
+                break;
+              case Request::Kind::kFeedback:
+                op.success = g.apply_feedback(
+                    *op.fb, op.job->requested_mem_mib, ladder_, config_.beta);
+                break;
+              case Request::Kind::kCancel:
+                g.cancel(op.granted);
+                break;
+            }
+            op.applied = true;
+            if (wal_) op.framed = wal_buffer_locked(op.key, g);
+          };
+          if (op.kind == Request::Kind::kCancel) {
+            // No group, no probe slot to release.
+            locked.modify_if_present(op.key, step);
+          } else {
+            // Create-if-missing mirrors the offline estimator: feedback
+            // for an evicted (or never-seen) group re-enters at the
+            // request, then applies the outcome.
+            locked.with_group(
+                op.key,
+                [&] {
+                  return core::SaGroupState::fresh(op.job->requested_mem_mib,
+                                                   config_.alpha);
+                },
+                step);
+          }
+        }
+      });
+      run_begin = run_end;
+    }
+  }
+
+  if (wal_) wal_commit(ops, force_commit);
+
+  for (Op& op : ops) {
+    ShardCounters& c = counters_[op.shard];
+    switch (op.kind) {
+      case Request::Kind::kSubmit:
+        // A pass-through grant is the rounded request: never lowered.
+        op.decision.lowered = op.decision.granted_mib + kGrantEps <
+                              ladder_.round_up(op.job->requested_mem_mib);
+        c.submissions.fetch_add(1, std::memory_order_relaxed);
+        if (op.decision.lowered) {
+          c.rewrites.fetch_add(1, std::memory_order_relaxed);
+        }
+        break;
+      case Request::Kind::kFeedback:
+        if (op.applied) {
+          (op.success ? c.successes : c.failures)
+              .fetch_add(1, std::memory_order_relaxed);
+        }
+        break;
+      case Request::Kind::kCancel:
+        if (op.applied) c.cancels.fetch_add(1, std::memory_order_relaxed);
+        break;
+    }
   }
 }
 
@@ -375,309 +342,53 @@ PushResult Matchd::cancel_async(const trace::JobRecord& job, MiB granted,
 void Matchd::worker_main(std::size_t /*worker_index*/) {
   const std::size_t batch_max = std::max<std::size_t>(1, config_.batch_max);
   std::vector<Request> batch;
+  std::vector<Op> ops;
   batch.reserve(batch_max);
+  ops.reserve(batch_max);
   for (;;) {
     batch.clear();
     if (queue_->pop_bulk(batch, batch_max, config_.batch_linger) == 0) {
       return;  // closed and drained
     }
-    process_batch(batch);
-  }
-}
+    batch_drains_.fetch_add(1, std::memory_order_relaxed);
+    if (batch_size_hist_) {
+      batch_size_hist_->record(static_cast<double>(batch.size()));
+    }
+    if (queue_wait_hist_) {
+      // Queue wait is per REQUEST: the batch's items were admitted at
+      // different times, so one drain timestamp serves them all but each
+      // keeps its own admission stamp. Requests admitted while the
+      // histogram did not exist carry no stamp and must be skipped, not
+      // recorded as an epoch-sized wait.
+      const auto now = std::chrono::steady_clock::now();
+      for (const Request& r : batch) {
+        if (r.admitted != std::chrono::steady_clock::time_point{}) {
+          queue_wait_hist_->record(
+              std::chrono::duration<double>(now - r.admitted).count());
+        }
+      }
+    }
 
-void Matchd::process_batch(std::vector<Request>& batch) {
-  batch_drains_.fetch_add(1, std::memory_order_relaxed);
-  if (batch_size_hist_) {
-    batch_size_hist_->record(static_cast<double>(batch.size()));
-  }
-  if (queue_wait_hist_) {
-    // Queue wait is per REQUEST: the batch's items were admitted at
-    // different times, so one drain timestamp serves them all but each
-    // keeps its own admission stamp. Requests admitted while the
-    // histogram did not exist carry no stamp and must be skipped, not
-    // recorded as an epoch-sized wait.
-    const auto now = std::chrono::steady_clock::now();
+    ops.clear();
     for (const Request& r : batch) {
-      if (r.admitted != std::chrono::steady_clock::time_point{}) {
-        queue_wait_hist_->record(
-            std::chrono::duration<double>(now - r.admitted).count());
-      }
+      ops.push_back(Op{r.kind, &r.job, &r.fb, r.granted});
     }
-  }
+    apply(ops, /*force_commit=*/true);
 
-  const std::size_t n = batch.size();
-  struct Item {
-    std::size_t pos;  ///< arrival position in `batch`
-    std::uint64_t key;
-    std::size_t shard;
-  };
-  /// Per-request results, indexed by arrival position; consumed by the
-  /// completion pass so callbacks run outside every store lock.
-  struct Done {
-    MatchDecision decision;
-    bool present = false;       ///< cancel found its group
-    bool success = false;       ///< feedback outcome
-    bool pass_through = false;  ///< served degraded (no state touched)
-  };
-  std::vector<Item> items;
-  items.reserve(n);
-  std::vector<Done> done(n);
-  std::vector<std::uint64_t> key_of(n);
-  std::vector<std::size_t> shard_of(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    key_of[i] = key_fn_(batch[i].job);
-    shard_of[i] = store_.shard_of(key_of[i]);
-    items.push_back(Item{i, key_of[i], shard_of[i]});
-  }
-
-  // Phase A: degraded checks. Heartbeat probes do their own WAL I/O, so
-  // they run before any store lock is taken — one probe per operation,
-  // the same cadence as the synchronous paths.
-  if (wal_) {
-    for (const Item& it : items) {
-      if (degraded_.load(std::memory_order_relaxed) &&
-          !try_exit_degraded(it.key)) {
-        done[it.pos].pass_through = true;
+    // Callbacks and completions in ARRIVAL order, outside every lock:
+    // callbacks may re-enter the service (feedback_async from a decision
+    // callback is the common pattern).
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Request& r = batch[i];
+      if (r.kind == Request::Kind::kSubmit) {
+        if (r.on_decision) r.on_decision(ops[i].decision);
+      } else if (r.on_done) {
+        r.on_done();
       }
-    }
-  }
-
-  if (model_) {
-    // Model path: the learned estimator is one global object, so the
-    // batch is applied in ARRIVAL order under a single mutex hold —
-    // shard-sorting buys nothing and would reorder the model's training
-    // sequence. One frame per request, one forced commit per batch.
-    std::size_t frames = 0;
-    bool buffer_ok = true;
-    {
-      std::lock_guard<std::mutex> lock(model_mutex_);
-      for (std::size_t i = 0; i < n; ++i) {
-        Request& r = batch[i];
-        Done& d = done[i];
-        if (d.pass_through) continue;
-        switch (r.kind) {
-          case Request::Kind::kSubmit: {
-            const MiB granted =
-                model_->estimate(r.job, core::SystemState{});
-            d.decision.granted_mib = granted;
-            d.decision.group_key = key_of[i];
-            d.decision.lowered =
-                granted + kGrantEps <
-                ladder_.round_up(r.job.requested_mem_mib);
-            break;
-          }
-          case Request::Kind::kFeedback:
-            model_->feedback(r.job, r.fb);
-            d.success = r.fb.success;
-            break;
-          case Request::Kind::kCancel:
-            model_->cancel(r.job, r.granted);
-            d.present = true;
-            break;
-        }
-        if (wal_) {
-          if (wal_buffer_model_locked()) {
-            ++frames;
-          } else {
-            buffer_ok = false;
-          }
-        }
+      if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(drain_mutex_);
+        drained_.notify_all();
       }
-    }
-    if (wal_) {
-      if (!buffer_ok) {
-        wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-        enter_degraded();
-      }
-      if (frames > 0) {
-        if (wal_commit_force(kModelWalShard)) {
-          batch_wal_commits_.fetch_add(1, std::memory_order_relaxed);
-          if (buffer_ok) {
-            appends_since_compact_.fetch_add(frames,
-                                             std::memory_order_relaxed);
-          }
-        } else {
-          enter_degraded();
-        }
-      }
-      maybe_compact();
-    }
-  } else {
-    // Sort by shard — stable, so same-key requests keep their arrival
-    // (FIFO) order and per-group trajectories match an unbatched run;
-    // cross-key reordering within the batch commutes (distinct groups).
-    std::stable_sort(items.begin(), items.end(),
-                     [](const Item& a, const Item& b) {
-                       return a.shard < b.shard;
-                     });
-
-    // Phase B, one shard run at a time: every transition of the run is
-    // applied under ONE shard-lock hold with its WAL frame buffered in
-    // order (no I/O under the lock). The commit is deferred to Phase C
-    // below: frame order is fixed at buffering time and each key maps to
-    // exactly one WAL file, so postponing the I/O past the remaining
-    // runs cannot reorder any key's records.
-    std::size_t total_frames = 0;
-    bool buffer_ok = true;
-    // Distinct WAL files this batch buffered into. Store shards
-    // outnumber WAL shards by design (DurabilityConfig::wal_shards), so
-    // many runs fold onto few files and the batch pays few fsyncs.
-    std::vector<std::size_t> wal_touched;
-    std::size_t run_begin = 0;
-    while (run_begin < n) {
-      const std::size_t shard = items[run_begin].shard;
-      std::size_t run_end = run_begin;
-      while (run_end < n && items[run_end].shard == shard) ++run_end;
-
-      std::size_t frames = 0;
-      store_.with_shard(shard, [&](auto& locked) {
-        for (std::size_t j = run_begin; j < run_end; ++j) {
-          const Item& it = items[j];
-          Request& r = batch[it.pos];
-          Done& d = done[it.pos];
-          if (d.pass_through) continue;
-          const auto buffer = [&](const core::SaGroupState& g) {
-            if (!wal_) return;
-            if (wal_buffer_locked(it.key, g)) {
-              ++frames;
-            } else {
-              buffer_ok = false;
-            }
-          };
-          switch (r.kind) {
-            case Request::Kind::kSubmit: {
-              const MiB granted = locked.with_group(
-                  it.key,
-                  [&] {
-                    return core::SaGroupState::fresh(
-                        r.job.requested_mem_mib, config_.alpha);
-                  },
-                  [&](core::SaGroupState& g) {
-                    const MiB v = g.commit(ladder_);
-                    buffer(g);
-                    return v;
-                  });
-              d.decision.granted_mib = granted;
-              d.decision.group_key = it.key;
-              d.decision.lowered =
-                  granted + kGrantEps <
-                  ladder_.round_up(r.job.requested_mem_mib);
-              break;
-            }
-            case Request::Kind::kFeedback: {
-              d.success = locked.with_group(
-                  it.key,
-                  [&] {
-                    return core::SaGroupState::fresh(
-                        r.job.requested_mem_mib, config_.alpha);
-                  },
-                  [&](core::SaGroupState& g) {
-                    const bool ok =
-                        g.apply_feedback(r.fb, r.job.requested_mem_mib,
-                                         ladder_, config_.beta);
-                    buffer(g);
-                    return ok;
-                  });
-              break;
-            }
-            case Request::Kind::kCancel: {
-              d.present = locked.modify_if_present(
-                  it.key, [&](core::SaGroupState& g) {
-                    g.cancel(r.granted);
-                    buffer(g);
-                  });
-              break;
-            }
-          }
-        }
-      });
-
-      if (frames > 0) {
-        total_frames += frames;
-        const std::size_t wal_shard = shard % wal_->shard_count();
-        if (std::find(wal_touched.begin(), wal_touched.end(), wal_shard) ==
-            wal_touched.end()) {
-          wal_touched.push_back(wal_shard);
-        }
-      }
-      run_begin = run_end;
-    }
-
-    // Phase C: one forced write+fsync per distinct WAL file the batch
-    // touched — the batch's durability points, amortized across every
-    // run that folded onto the same file.
-    if (wal_) {
-      if (!buffer_ok) {
-        wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-        enter_degraded();
-      }
-      bool committed_ok = buffer_ok;
-      for (const std::size_t wal_shard : wal_touched) {
-        if (wal_commit_force(wal_shard)) {
-          batch_wal_commits_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // The frames stay buffered in order; they reach disk with the
-          // next successful commit on this file (or the final flush),
-          // and degraded mode stops new state from outrunning the log.
-          committed_ok = false;
-          enter_degraded();
-        }
-      }
-      if (committed_ok) {
-        appends_since_compact_.fetch_add(total_frames,
-                                         std::memory_order_relaxed);
-      }
-      maybe_compact();
-    }
-  }
-
-  // Phase D: counters, callbacks and completions in ARRIVAL order,
-  // outside every store lock — callbacks may re-enter the service
-  // (feedback_async from a decision callback is the common pattern).
-  for (std::size_t i = 0; i < n; ++i) {
-    Request& r = batch[i];
-    Done& d = done[i];
-    ShardCounters& c = counters_[shard_of[i]];
-    switch (r.kind) {
-      case Request::Kind::kSubmit: {
-        if (d.pass_through) {
-          // Pass-through grant: the rounded raw request, never lowered,
-          // nothing learned that the log could not record.
-          degraded_ops_.fetch_add(1, std::memory_order_relaxed);
-          d.decision.granted_mib = ladder_.round_up(r.job.requested_mem_mib);
-          d.decision.group_key = key_of[i];
-          d.decision.lowered = false;
-        }
-        c.submissions.fetch_add(1, std::memory_order_relaxed);
-        if (d.decision.lowered) {
-          c.rewrites.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (r.on_decision) r.on_decision(d.decision);
-        break;
-      }
-      case Request::Kind::kFeedback: {
-        if (d.pass_through) {
-          degraded_ops_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          (d.success ? c.successes : c.failures)
-              .fetch_add(1, std::memory_order_relaxed);
-        }
-        if (r.on_done) r.on_done();
-        break;
-      }
-      case Request::Kind::kCancel: {
-        if (d.pass_through) {
-          degraded_ops_.fetch_add(1, std::memory_order_relaxed);
-        } else if (d.present) {
-          c.cancels.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (r.on_done) r.on_done();
-        break;
-      }
-    }
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      drained_.notify_all();
     }
   }
 }
@@ -787,8 +498,8 @@ void Matchd::register_metrics() {
                 return batch_drains_.load(std::memory_order_relaxed);
               });
   add_counter("resmatch_batch_wal_commits_total",
-              "Forced WAL commit points (one write+fsync per batch shard "
-              "run)",
+              "Forced WAL commit points (one write+fsync per distinct WAL "
+              "file per batch)",
               {}, [this] {
                 return batch_wal_commits_.load(std::memory_order_relaxed);
               });
@@ -990,9 +701,9 @@ util::Expected<std::size_t> Matchd::restore_store(const std::string& path) {
 bool Matchd::wal_buffer_locked(std::uint64_t key,
                                const core::SaGroupState& g) {
   // Pure encoding, no I/O: the shard lock only fixes frame ORDER. The
-  // retries (and their backoff sleeps) belong to wal_commit /
-  // wal_commit_force, which run after the lock is released — a sick disk
-  // backs off without stalling every other key hashed to the shard.
+  // retries (and their backoff sleeps) belong to wal_commit(), which
+  // runs after the lock is released — a sick disk backs off without
+  // stalling every other key hashed to the shard.
   const std::vector<double> fields = g.to_fields();
   return wal_->append_buffered(store_.shard_of(key), key, fields.data(),
                                fields.size());
@@ -1009,38 +720,59 @@ bool Matchd::wal_buffer_model_locked() {
                                      state.size());
 }
 
-bool Matchd::wal_commit(std::uint64_t key) {
-  return wal_commit_index(store_.shard_of(key), key);
-}
-
-bool Matchd::wal_commit_index(std::size_t shard, std::uint64_t jitter_seed) {
-  const util::RetryResult r = util::retry_with(
-      config_.durability.retry, config_.durability.retry_seed ^ jitter_seed,
-      [&] { return wal_->commit(shard); });
-  if (r.attempts > 1) {
-    wal_retries_.fetch_add(r.attempts - 1, std::memory_order_relaxed);
+void Matchd::wal_commit(std::span<const Op> ops, bool force) {
+  // One commit per distinct WAL file, outside every lock. Store shards
+  // outnumber WAL files by design (DurabilityConfig::wal_shards), so a
+  // batch's many shard runs fold onto few files and pay few fsyncs.
+  std::size_t frames = 0;
+  bool buffer_ok = true;
+  // Each file framed into, with the key of its first frame: the seed of
+  // that file's retry jitter.
+  std::vector<std::pair<std::size_t, std::uint64_t>> files;
+  for (const Op& op : ops) {
+    if (!op.framed) {
+      buffer_ok = buffer_ok && !op.applied;  // applied but not framed
+      continue;
+    }
+    ++frames;
+    const std::size_t file =
+        model_ ? kModelWalShard : op.shard % wal_->shard_count();
+    if (std::none_of(files.begin(), files.end(),
+                     [&](const auto& f) { return f.first == file; })) {
+      files.emplace_back(file, op.key);
+    }
   }
-  if (!r.ok) {
+  if (!buffer_ok) {
     wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    enter_degraded();
   }
-  appends_since_compact_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool Matchd::wal_commit_force(std::size_t shard) {
-  const util::RetryResult r = util::retry_with(
-      config_.durability.retry,
-      config_.durability.retry_seed ^ (0xBA7C4ULL + shard),
-      [&] { return wal_->flush(shard); });
-  if (r.attempts > 1) {
-    wal_retries_.fetch_add(r.attempts - 1, std::memory_order_relaxed);
+  bool committed = buffer_ok;
+  for (const auto& [file, jitter_key] : files) {
+    const util::RetryResult r = util::retry_with(
+        config_.durability.retry,
+        config_.durability.retry_seed ^ jitter_key, [&] {
+          return force ? wal_->flush(file) : wal_->commit(file);
+        });
+    if (r.attempts > 1) {
+      wal_retries_.fetch_add(r.attempts - 1, std::memory_order_relaxed);
+    }
+    if (r.ok) {
+      if (force) {
+        batch_wal_commits_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } else {
+      // The frames stay buffered in order; they reach disk with the next
+      // successful commit on this file (or the final flush), and
+      // degraded mode stops new state from outrunning the log.
+      wal_giveups_.fetch_add(1, std::memory_order_relaxed);
+      committed = false;
+      enter_degraded();
+    }
   }
-  if (!r.ok) {
-    wal_giveups_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  if (committed) {
+    appends_since_compact_.fetch_add(frames, std::memory_order_relaxed);
   }
-  return true;
+  maybe_compact();
 }
 
 void Matchd::enter_degraded() {

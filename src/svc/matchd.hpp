@@ -25,11 +25,15 @@
 // the svc tests.
 //
 // Worker pool batching: each worker drains up to `batch_max` requests per
-// pop (waiting `batch_linger` for stragglers), sorts the batch by store
-// shard, applies every transition of a shard under ONE lock acquisition
-// with its WAL frames buffered in order, then commits the whole run with
-// a single forced write+fsync after the lock is released. batch_max=1
-// reproduces per-request commits through the same code path.
+// pop (waiting `batch_linger` for stragglers) and runs them through the
+// request path the synchronous API runs on one request: degraded
+// probes; then the transitions, sorted by store shard with every
+// shard run applied under ONE lock acquisition and its WAL frames
+// buffered in order; then one commit per distinct WAL file after the
+// locks are released; then the counters. The callers differ only in the
+// commit: a worker batch forces write+fsync (its commit point), a
+// synchronous call follows the WAL's flush/fsync cadence. batch_max=1
+// reproduces per-request commit points through the same code path.
 //
 // Crash safety (opt-in via MatchdConfig::durability): every committed
 // group transition is framed into a per-shard write-ahead log (wal.hpp)
@@ -52,6 +56,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,7 +108,11 @@ struct DurabilityConfig {
   util::RetryPolicy retry{.max_attempts = 6,
                           .initial_backoff = std::chrono::microseconds(50),
                           .max_backoff = std::chrono::microseconds(5000)};
-  /// Base seed for deterministic backoff jitter (mixed with the group key).
+  /// Base seed for deterministic backoff jitter. A WAL commit mixes in
+  /// the group key of the first request that buffered into its file (the
+  /// request's own key for a synchronous call), so concurrent callers
+  /// retrying one file back off on different schedules. The seed changes
+  /// sleep lengths only, never an outcome.
   std::uint64_t retry_seed = 0x5EEDBA5Eu;
   /// Deterministic fault-injection hook, threaded into the store and the
   /// WAL as well. Not owned; null = disabled (zero cost).
@@ -359,11 +368,34 @@ class Matchd {
     std::chrono::steady_clock::time_point admitted{};
   };
 
+  /// One request as apply() sees it: inputs borrowed from the caller (a
+  /// synchronous call's arguments or a drained Request's fields) and the
+  /// result slots apply() fills in. A synchronous call builds one on its
+  /// stack, so it copies no JobRecord and allocates nothing.
+  struct Op {
+    Request::Kind kind;
+    const trace::JobRecord* job;
+    const core::Feedback* fb = nullptr;  ///< kFeedback only
+    MiB granted = 0.0;                   ///< kCancel only
+    std::uint64_t key = 0;
+    std::size_t shard = 0;      ///< store shard of `key`
+    MatchDecision decision{};   ///< kSubmit's answer
+    bool pass_through = false;  ///< served degraded; no state touched
+    bool applied = false;       ///< transition ran (a cancel found its group)
+    bool framed = false;        ///< its WAL frame was buffered
+    bool success = false;       ///< kFeedback's outcome
+  };
+
+  /// The request path of both callers: degraded probes, the transitions
+  /// (model: arrival order under model_mutex_; store: stable shard sort,
+  /// one lock hold per shard run), each WAL frame buffered under the lock
+  /// that ordered it, then wal_commit(ops, force_commit), then the
+  /// counters. A worker batch forces its commit; a synchronous call does
+  /// not.
+  void apply(std::span<Op> ops, bool force_commit);
+  /// A synchronous call: apply() on one request, timed into `latency`.
+  void apply_sync(Op& op, obs::Histogram* latency);
   void worker_main(std::size_t worker_index);
-  /// The batched hot path: queue-wait accounting, shard-sorted transition
-  /// application (one lock hold per shard run), one forced WAL commit
-  /// point per run, then counters/callbacks/completions in arrival order.
-  void process_batch(std::vector<Request>& batch);
   [[nodiscard]] PushResult admit(Request&& request);
 
   void register_metrics();
@@ -380,16 +412,11 @@ class Matchd {
   /// shard kModelWalShard) — no I/O. MUST be called with model_mutex_
   /// held: the mutex is what orders model frames in the log.
   [[nodiscard]] bool wal_buffer_model_locked();
-  /// Cadence commit of the key's shard (the synchronous paths), retrying
-  /// with backoff. Called AFTER the shard lock is released. Returns false
-  /// at retry exhaustion.
-  [[nodiscard]] bool wal_commit(std::uint64_t key);
-  /// Cadence commit of one WAL shard index, retrying with backoff.
-  [[nodiscard]] bool wal_commit_index(std::size_t shard,
-                                      std::uint64_t jitter_seed);
-  /// Forced commit point of one batch shard run: write + fsync everything
-  /// buffered, retrying with backoff outside any lock.
-  [[nodiscard]] bool wal_commit_force(std::size_t shard);
+  /// apply()'s commit phase: one commit per distinct WAL file the ops
+  /// framed into, retried with backoff outside every lock; degrades the
+  /// service at retry exhaustion. `force` (a worker batch) writes and
+  /// fsyncs; otherwise (a synchronous call) the WAL's cadence applies.
+  void wal_commit(std::span<const Op> ops, bool force);
   void enter_degraded();
   [[nodiscard]] bool try_exit_degraded(std::uint64_t key);
   /// Opportunistic auto-compaction once compact_every appends accumulate;

@@ -62,15 +62,56 @@ class TempDir {
   std::string path_;
 };
 
+/// Explicit feedback for one attempt of `job` at `granted`.
+core::Feedback explicit_feedback(const trace::JobRecord& job, MiB granted) {
+  core::Feedback fb;
+  fb.granted_mib = granted;
+  fb.success = job.used_mem_mib <= granted;
+  fb.used_mib = job.used_mem_mib;
+  return fb;
+}
+
 /// Submit + explicit feedback for one job; returns the grant.
 MiB drive_job(Matchd& service, const trace::JobRecord& job) {
   const MatchDecision d = service.submit(job);
-  core::Feedback fb;
-  fb.granted_mib = d.granted_mib;
-  fb.success = job.used_mem_mib <= d.granted_mib;
-  fb.used_mib = job.used_mem_mib;
-  service.feedback(job, fb);
+  service.feedback(job, explicit_feedback(job, d.granted_mib));
   return d.granted_mib;
+}
+
+/// Jobs [first, first + count) as one block: every submission, then every
+/// job's explicit feedback in the same order. A service with workers takes
+/// each half through the admission queue and drains it; a synchronous
+/// service calls the API directly, so one job is drive_job.
+std::vector<MiB> drive_block(Matchd& service, std::uint64_t first,
+                             std::size_t count) {
+  std::vector<trace::JobRecord> jobs;
+  for (std::uint64_t n = first; n < first + count; ++n) {
+    jobs.push_back(make_job(n, /*groups=*/8));
+  }
+  std::vector<MiB> granted(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!service.async_enabled()) {
+      granted[i] = service.submit(jobs[i]).granted_mib;
+    } else {
+      EXPECT_EQ(service.submit_async(jobs[i],
+                                     [&granted, i](const MatchDecision& d) {
+                                       granted[i] = d.granted_mib;
+                                     }),
+                PushResult::kOk);
+    }
+  }
+  service.drain();
+  for (std::size_t i = 0; i < count; ++i) {
+    const core::Feedback fb = explicit_feedback(jobs[i], granted[i]);
+    if (!service.async_enabled()) {
+      service.feedback(jobs[i], fb);
+    } else {
+      EXPECT_EQ(service.feedback_async(JobOutcome{jobs[i], fb}),
+                PushResult::kOk);
+    }
+  }
+  service.drain();
+  return granted;
 }
 
 /// The store's full state as a canonical set of snapshot rows (order-
@@ -619,57 +660,76 @@ TEST(MatchdWalTest, ModelRecoveryRestoresAByteIdenticalTwin) {
   // The learned-model flavour of the tentpole property: with a quantile or
   // ensemble estimator attached, crash + recover() must restore the model
   // byte-identically, and the recovered service's decision stream must
-  // track an uncrashed twin exactly from then on.
-  for (const std::string name : {"quantile", "ensemble"}) {
-    TempDir dir("model_" + name);
-    TempDir twin_dir("model_twin_" + name);
-    MatchdConfig config;
-    config.durability.wal_dir = dir.path();
-    config.model_estimator = name;
-    // Warm quickly so grants genuinely diverge from pass-through before
-    // the crash — otherwise the equality below would be vacuous.
-    config.model_options.min_observations = 40;
-    MatchdConfig twin_config = config;
-    twin_config.durability.wal_dir = twin_dir.path();
-
-    Matchd twin(twin_config);
-    twin.set_ladder(test_ladder());
-    std::vector<double> before;
-    {
-      Matchd service(config);
-      service.set_ladder(test_ladder());
-      ASSERT_TRUE(service.model_enabled());
-      bool lowered = false;
-      for (std::uint64_t n = 0; n < 300; ++n) {
-        const trace::JobRecord job = make_job(n, /*groups=*/8);
-        const MiB granted = drive_job(service, job);
-        ASSERT_EQ(drive_job(twin, job), granted) << name << " job " << n;
-        lowered = lowered ||
-                  granted < test_ladder().round_up(job.requested_mem_mib);
+  // track an uncrashed twin exactly from then on. The batched input runs
+  // one worker and takes traffic in blocks through the queue, so batches
+  // hold many model requests: the batch path must apply them in arrival
+  // order and force them to disk, or the synchronous twin fed the same
+  // blocks falls out of lockstep.
+  for (const bool batched : {false, true}) {
+    for (const std::string name : {"quantile", "ensemble"}) {
+      const std::string tag = name + (batched ? "_batched" : "");
+      TempDir dir("model_" + tag);
+      TempDir twin_dir("model_twin_" + tag);
+      MatchdConfig config;
+      config.durability.wal_dir = dir.path();
+      config.model_estimator = name;
+      // Warm quickly so grants genuinely diverge from pass-through before
+      // the crash — otherwise the equality below would be vacuous.
+      config.model_options.min_observations = 40;
+      MatchdConfig twin_config = config;
+      twin_config.durability.wal_dir = twin_dir.path();
+      if (batched) {
+        config.workers = 1;
+        config.batch_max = 64;
+        config.batch_linger = std::chrono::microseconds{200};
       }
-      EXPECT_TRUE(lowered) << name << " never left pass-through";
-      before = service.model_state();
-      ASSERT_FALSE(before.empty());
-      service.simulate_crash(/*leave_torn_tail=*/name == "ensemble");
-    }
+      const std::size_t block = batched ? 20 : 1;
 
-    Matchd restarted(config);
-    restarted.set_ladder(test_ladder());
-    auto recovery = restarted.recover();
-    ASSERT_TRUE(recovery.has_value()) << recovery.error();
-    EXPECT_GT(recovery.value().model_records, 0u);
-    EXPECT_EQ(recovery.value().invalid_records, 0u);
-    EXPECT_EQ(restarted.model_state(), before) << name;
-    EXPECT_EQ(restarted.model_state(), twin.model_state()) << name;
+      Matchd twin(twin_config);
+      twin.set_ladder(test_ladder());
+      std::vector<double> before;
+      {
+        Matchd service(config);
+        service.set_ladder(test_ladder());
+        ASSERT_TRUE(service.model_enabled());
+        bool lowered = false;
+        for (std::uint64_t n = 0; n < 300; n += block) {
+          const std::vector<MiB> granted = drive_block(service, n, block);
+          ASSERT_EQ(drive_block(twin, n, block), granted)
+              << tag << " block at job " << n;
+          ASSERT_EQ(service.model_state(), twin.model_state())
+              << tag << " block at job " << n;
+          for (std::size_t i = 0; i < block; ++i) {
+            const MiB request = make_job(n + i, 8).requested_mem_mib;
+            lowered = lowered || granted[i] < test_ladder().round_up(request);
+          }
+        }
+        EXPECT_TRUE(lowered) << tag << " never left pass-through";
+        if (batched) {
+          EXPECT_LT(service.stats().batch_drains, 2 * 300u) << tag;
+        }
+        before = service.model_state();
+        ASSERT_FALSE(before.empty());
+        service.simulate_crash(/*leave_torn_tail=*/name == "ensemble");
+      }
 
-    // Post-recovery traffic: grants and the evolving model state must stay
-    // in lockstep with the twin that never crashed.
-    for (std::uint64_t n = 300; n < 420; ++n) {
-      const trace::JobRecord job = make_job(n, /*groups=*/8);
-      EXPECT_EQ(drive_job(restarted, job), drive_job(twin, job))
-          << name << " job " << n;
+      Matchd restarted(config);
+      restarted.set_ladder(test_ladder());
+      auto recovery = restarted.recover();
+      ASSERT_TRUE(recovery.has_value()) << recovery.error();
+      EXPECT_GT(recovery.value().model_records, 0u);
+      EXPECT_EQ(recovery.value().invalid_records, 0u);
+      EXPECT_EQ(restarted.model_state(), before) << tag;
+      EXPECT_EQ(restarted.model_state(), twin.model_state()) << tag;
+
+      // Post-recovery traffic: grants and the evolving model state must
+      // stay in lockstep with the twin that never crashed.
+      for (std::uint64_t n = 300; n < 420; n += block) {
+        EXPECT_EQ(drive_block(restarted, n, block), drive_block(twin, n, block))
+            << tag << " block at job " << n;
+      }
+      EXPECT_EQ(restarted.model_state(), twin.model_state()) << tag;
     }
-    EXPECT_EQ(restarted.model_state(), twin.model_state()) << name;
   }
 }
 

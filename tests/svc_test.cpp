@@ -847,28 +847,45 @@ TEST(EstimatorStore, PeekFastSeqlockHammer) {
 TEST(Matchd, BatchedPipelineMatchesSyncPerKeyChains) {
   // Keys are independent estimator groups, so however the worker batches
   // interleave THEM, each key's own chain must produce the grant stream
-  // the synchronous service produces — batching may reorder across keys
-  // but never within one (the batch sort is stable).
+  // and the counters the synchronous service produces — batching may
+  // reorder across keys but never within one (the batch sort is stable).
+  // Every fifth job of a chain is cancelled instead of fed back, and one
+  // cancel names a group neither service has seen: it counts in neither.
   constexpr std::size_t kKeys = 8;
   constexpr int kOpsPerKey = 40;
   const core::CapacityLadder ladder = test_ladder();
+  const auto job_of = [](std::size_t k) {
+    return make_job(64.0, 5.0 + static_cast<double>(k),
+                    static_cast<UserId>(k + 1), 1);
+  };
+  const auto cancelled = [](int i) { return i % 5 == 4; };
+  const trace::JobRecord unseen = make_job(64.0, 5.0, /*user=*/999, 1);
 
-  // Per-key reference streams from a workers=0 service.
+  // Per-key reference streams and counters from a workers=0 service.
   std::vector<std::vector<MiB>> expected(kKeys);
+  MatchdStats want;
   {
     Matchd sync_service;
     sync_service.set_ladder(ladder);
     for (std::size_t k = 0; k < kKeys; ++k) {
       for (int i = 0; i < kOpsPerKey; ++i) {
-        const trace::JobRecord job =
-            make_job(64.0, 5.0 + static_cast<double>(k),
-                     static_cast<UserId>(k + 1), 1);
+        const trace::JobRecord job = job_of(k);
         const MatchDecision d = sync_service.submit(job);
         expected[k].push_back(d.granted_mib);
-        sync_service.feedback(job, outcome(job, d.granted_mib));
+        if (cancelled(i)) {
+          sync_service.cancel(job, d.granted_mib);
+        } else {
+          sync_service.feedback(job, outcome(job, d.granted_mib));
+        }
       }
     }
+    sync_service.cancel(unseen, 64.0);
+    want = sync_service.stats();
   }
+  EXPECT_EQ(want.cancels, kKeys * kOpsPerKey / 5);
+  EXPECT_EQ(want.groups, kKeys);
+  EXPECT_GT(want.rewrites, 0u);
+  EXPECT_GT(want.failures, 0u);
 
   for (const std::size_t batch_max : {std::size_t{1}, std::size_t{8},
                                       std::size_t{64}}) {
@@ -883,19 +900,22 @@ TEST(Matchd, BatchedPipelineMatchesSyncPerKeyChains) {
     std::vector<std::vector<MiB>> got(kKeys);
     std::vector<std::thread> drivers;
     for (std::size_t k = 0; k < kKeys; ++k) {
-      drivers.emplace_back([&service, &got, k] {
+      drivers.emplace_back([&, k] {
         MatchdEstimator adapter(service);
         for (int i = 0; i < kOpsPerKey; ++i) {
-          const trace::JobRecord job =
-              make_job(64.0, 5.0 + static_cast<double>(k),
-                       static_cast<UserId>(k + 1), 1);
+          const trace::JobRecord job = job_of(k);
           const MiB granted = adapter.estimate(job, core::SystemState{});
           got[k].push_back(granted);
-          adapter.feedback(job, outcome(job, granted));
+          if (cancelled(i)) {
+            adapter.cancel(job, granted);
+          } else {
+            adapter.feedback(job, outcome(job, granted));
+          }
         }
       });
     }
     for (auto& d : drivers) d.join();
+    MatchdEstimator(service).cancel(unseen, 64.0);
     service.drain();
 
     for (std::size_t k = 0; k < kKeys; ++k) {
@@ -904,6 +924,11 @@ TEST(Matchd, BatchedPipelineMatchesSyncPerKeyChains) {
     }
     const MatchdStats stats = service.stats();
     EXPECT_EQ(stats.submissions, kKeys * kOpsPerKey);
+    EXPECT_EQ(stats.rewrites, want.rewrites) << "batch_max=" << batch_max;
+    EXPECT_EQ(stats.successes, want.successes) << "batch_max=" << batch_max;
+    EXPECT_EQ(stats.failures, want.failures) << "batch_max=" << batch_max;
+    EXPECT_EQ(stats.cancels, want.cancels) << "batch_max=" << batch_max;
+    EXPECT_EQ(stats.groups, want.groups) << "batch_max=" << batch_max;
     EXPECT_GT(stats.batch_drains, 0u);
     EXPECT_EQ(service.invariant_violations(), 0u);
   }
