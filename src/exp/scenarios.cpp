@@ -167,7 +167,8 @@ void write_scenario_csv(const std::string& path, const ScenarioSweep& sweep) {
   }
   out << "scenario,estimator,dims,submitted,completed,attempts,"
          "resource_failures,kills_mem,kills_cpu,kills_gpu,midjob_kills,"
-         "mean_kill_progress,utilization,mean_slowdown,mean_wait,"
+         "mean_kill_progress,utilization,mean_slowdown,"
+         "mean_bounded_slowdown,mean_wait,"
          "lowered_starts,benefiting_jobs,dropped_unschedulable\n";
   out << std::setprecision(17);
   for (const auto& row : sweep.rows) {
@@ -178,7 +179,8 @@ void write_scenario_csv(const std::string& path, const ScenarioSweep& sweep) {
         << r.kills_by_dim[kDimMem] << ',' << r.kills_by_dim[kDimCpu] << ','
         << r.kills_by_dim[kDimGpu] << ',' << r.midjob_kills << ','
         << r.mean_kill_progress << ',' << r.base.utilization << ','
-        << r.base.mean_slowdown << ',' << r.base.mean_wait << ','
+        << r.base.mean_slowdown << ',' << r.base.mean_bounded_slowdown << ','
+        << r.base.mean_wait << ','
         << r.base.lowered_starts << ',' << r.base.benefiting_jobs << ','
         << r.base.dropped_unschedulable << '\n';
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 namespace resmatch::sched {
 
@@ -10,32 +11,33 @@ void EasyBackfillPolicy::refresh_by_end(
   if (running == last_running_) return;  // by_end_ is still that set, sorted
   last_running_.assign(running.begin(), running.end());
   by_end_.assign(running.begin(), running.end());
-  // Sorting the values in arrival order yields the same permutation the
-  // old per-pass pointer sort produced: decision equivalence depends on
-  // ties (equal expected_end) keeping that order.
+  // A total order: entries that compare equal are identical, so the
+  // sorted sequence does not depend on the order `running` arrived in.
   std::sort(by_end_.begin(), by_end_.end(),
             [](const RunningJobInfo& a, const RunningJobInfo& b) {
-              return a.expected_end < b.expected_end;
+              return std::tie(a.expected_end, a.nodes, a.granted.v) <
+                     std::tie(b.expected_end, b.nodes, b.granted.v);
             });
 }
 
 EasyBackfillPolicy::Reservation EasyBackfillPolicy::compute_reservation(
     const QueuedJob& head, const ClusterView& cluster, Seconds now) const {
   Reservation r;
-  const MiB cap = head.effective_request;
-  std::size_t available = cluster.eligible_free(cap);
+  std::size_t available = cluster.eligible_free(head.preview);
   if (available >= head.nodes) {
     // Head can start immediately; everything free beyond its need is spare.
     r.shadow_time = now;
     r.extra_nodes = available - head.nodes;
     return r;
   }
-  // Walk running jobs in completion order, crediting the head-eligible
-  // machines they release. Conservative: a running job's machines count as
-  // head-eligible when its granted capacity class reaches the head's
-  // requirement (grants are capacity rungs, so this matches pool identity).
+  // Walk running jobs in completion order, crediting the head-covering
+  // machines they release. Conservative: a running job's machines count
+  // only when its grant covers the head's request, since every machine
+  // the allocator gave it covers that grant.
   for (const RunningJobInfo& job : by_end_) {
-    if (job.granted >= cap) available += job.nodes;
+    if (job.granted.covers(head.preview, kMaxResourceDims)) {
+      available += job.nodes;
+    }
     if (available >= head.nodes) {
       r.shadow_time = std::max(job.expected_end, now);
       r.extra_nodes = available - head.nodes;
@@ -68,19 +70,18 @@ std::optional<std::size_t> EasyBackfillPolicy::pick_next(
     const Seconds expected_end = now + candidate.requested_time;
     if (expected_end <= res.shadow_time) return i;
 
-    // (b) Cannot touch head-eligible machines: enough machines strictly
-    // below the head's capacity class are free to host it entirely. The
-    // subtraction lives behind the class guard — with candidate >= head
-    // it would wrap (unsigned) and cost two eligible_free scans for a
-    // comparison the guard already decides.
-    if (candidate.effective_request < head.effective_request) {
-      const std::size_t below_class_free =
-          cluster.eligible_free(candidate.effective_request) -
-          cluster.eligible_free(head.effective_request);
-      if (below_class_free >= candidate.nodes) return i;
+    // (b) Cannot touch head-covering machines: the allocator fills the
+    // candidate before it reaches a free machine covering the head. A
+    // candidate whose request covers the head's has no such machines
+    // (every machine covering it covers the head), so the guard saves
+    // the pool walk.
+    if (!candidate.preview.covers(head.preview, kMaxResourceDims) &&
+        cluster.eligible_free_before(candidate.preview, head.preview) >=
+            candidate.nodes) {
+      return i;
     }
 
-    // (c) Extra-nodes rule: head-eligible spare capacity at the shadow
+    // (c) Extra-nodes rule: head-covering spare capacity at the shadow
     // time absorbs the candidate even if it runs long.
     if (candidate.nodes <= res.extra_nodes) return i;
   }

@@ -1,22 +1,29 @@
-// EASY backfilling, adapted to heterogeneous capacity pools.
+// EASY backfilling, adapted to heterogeneous, multi-resource pools.
 //
 // Classic EASY: the queue head gets a reservation at the earliest time
 // enough machines will be free (the shadow time, computed from running
 // jobs' expected completions); a lower-priority job may jump ahead only if
 // doing so cannot delay that reservation.
 //
-// Heterogeneity adaptation: machine eligibility depends on a job's
-// effective per-node request, so the shadow computation counts only
-// machines whose capacity covers the HEAD job's request, and a backfill
+// Heterogeneity adaptation: a machine serves a job when its capacity
+// covers the job's per-node preview on every dimension. The shadow
+// computation counts free machines covering the HEAD's preview plus the
+// machines of running jobs whose grant covers it, and a backfill
 // candidate is safe when either
 //   (a) its expected termination (user estimate) precedes the shadow time,
-//   (b) it does not touch head-eligible machines at all (its per-node
-//       request can be satisfied exclusively by machines below the head's
-//       capacity class — checked conservatively via pool counts), or
-//   (c) even after it takes machines, the head-eligible free count at the
+//   (b) it does not touch machines that cover the head at all: the
+//       allocator, walking its own pool order, finds enough free machines
+//       covering the candidate before it reaches a free machine covering
+//       the head (ClusterView::eligible_free_before; under worst-fit that
+//       walk starts at the biggest pools), or
+//   (c) even after it takes machines, the head-covering free count at the
 //       shadow time still covers the head job ("extra nodes" rule).
 // All three checks are conservative with respect to the actual allocator,
 // so a backfilled job can never postpone the head beyond its reservation.
+//
+// The running set arrives in no particular order. The by-end order sorts
+// it on a total order (expected end, then nodes, then grant), so the
+// reservation depends on the running set alone, not on its arrival order.
 #pragma once
 
 #include "sched/policy.hpp"
@@ -34,7 +41,7 @@ class EasyBackfillPolicy final : public SchedulingPolicy {
  private:
   struct Reservation {
     Seconds shadow_time = 0.0;   ///< earliest time the head job can start
-    std::size_t extra_nodes = 0; ///< head-eligible nodes spare at shadow time
+    std::size_t extra_nodes = 0; ///< head-covering nodes spare at shadow time
   };
 
   /// Refresh by_end_ from `running` — copy + sort only when the running

@@ -3,7 +3,7 @@
 namespace resmatch::sched {
 
 bool fits_now(const QueuedJob& job, const ClusterView& cluster) {
-  return cluster.eligible_free(job.effective_request) >= job.nodes;
+  return cluster.eligible_free(job.preview) >= job.nodes;
 }
 
 }  // namespace resmatch::sched

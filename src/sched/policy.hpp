@@ -6,6 +6,12 @@
 // separation: a policy only decides WHICH queued job to try next; the
 // estimator has already rewritten each job's effective request, and the
 // simulator owns actual placement.
+//
+// Policies see the same resource vector the allocator checks. A job fits
+// when enough free machines cover its preview on EVERY dimension
+// (Psychas & Ghaderi's feasibility, PAPERS.md); coordinates beyond the
+// run's active dimensions are zero, and a zero request is covered by any
+// machine, so a memory-only run compares memory alone.
 #pragma once
 
 #include <cstddef>
@@ -14,27 +20,24 @@
 #include <string>
 #include <vector>
 
+#include "util/resource_vector.hpp"
 #include "util/types.hpp"
 
 namespace resmatch::sched {
 
-/// A job waiting in the scheduler queue. `effective_request` is the
-/// estimator's (rounded) per-node memory request for the current attempt.
+/// A job waiting in the scheduler queue. `preview` is the estimator's
+/// (rounded) per-node request vector for the current attempt.
 struct QueuedJob {
-  std::size_t trace_index = 0;   ///< index into the workload
-  JobId id = 0;
+  std::size_t trace_index = 0;  ///< the simulator's handle for the job
   std::uint32_t nodes = 1;
-  MiB effective_request = 0.0;
-  Seconds enqueue_time = 0.0;
-  Seconds requested_time = 0.0;  ///< user runtime estimate (backfill input)
-  std::uint32_t attempts = 0;    ///< prior failed executions
-  /// Preview-memoization state (simulator hot path): the estimator's
-  /// preview_epoch at the time effective_request was computed. While the
-  /// estimator still reports the same epoch, effective_request is current
-  /// and the head-refresh preview call can be skipped. Policies ignore
-  /// these fields.
-  std::uint64_t preview_epoch = 0;
+  /// Preview-memoization state (simulator hot path; policies ignore
+  /// it): while the estimator still reports `preview_epoch` for the job,
+  /// `preview` is current and the head-refresh preview call can be
+  /// skipped. Declared beside `nodes` so the entry packs into 56 bytes.
   bool preview_memoized = false;
+  std::uint64_t preview_epoch = 0;
+  ResourceVector preview{};
+  Seconds requested_time = 0.0;  ///< user runtime estimate (backfill input)
 };
 
 /// A job currently executing, as visible to policies (backfilling needs
@@ -42,7 +45,7 @@ struct QueuedJob {
 struct RunningJobInfo {
   Seconds expected_end = 0.0;  ///< start + user runtime estimate
   std::uint32_t nodes = 1;
-  MiB granted = 0.0;           ///< per-node capacity the job runs with
+  ResourceVector granted{};    ///< per-node capacity the job runs with
 
   /// Exact-value equality: lets policies detect "running set unchanged
   /// since my last pass" and reuse derived scratch (EASY's by-end order).
@@ -50,19 +53,23 @@ struct RunningJobInfo {
                          const RunningJobInfo&) = default;
 };
 
-/// Read-only cluster capacity queries available to policies.
+/// Read-only cluster capacity queries available to policies. A machine
+/// covers a request when its capacity is at least the request on every
+/// dimension.
 class ClusterView {
  public:
   virtual ~ClusterView() = default;
 
-  /// Machines currently free with capacity >= min_capacity.
-  [[nodiscard]] virtual std::size_t eligible_free(MiB min_capacity) const = 0;
+  /// Free machines covering `request`.
+  [[nodiscard]] virtual std::size_t eligible_free(
+      const ResourceVector& request) const = 0;
 
-  /// All machines (free or busy) with capacity >= min_capacity.
-  [[nodiscard]] virtual std::size_t eligible_total(MiB min_capacity) const = 0;
-
-  /// Total machine count.
-  [[nodiscard]] virtual std::size_t machine_count() const = 0;
+  /// Free machines covering `request` that the allocator would take, in
+  /// its own pool order, before it reaches a free machine covering
+  /// `reserved`: the machines a job can have without touching any that
+  /// `reserved` could use (EASY's below-class backfill rule).
+  [[nodiscard]] virtual std::size_t eligible_free_before(
+      const ResourceVector& request, const ResourceVector& reserved) const = 0;
 };
 
 /// Decides the next queued job to attempt. The simulator calls pick_next
@@ -75,15 +82,16 @@ class SchedulingPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Index into `queue` of the next job to start, or nullopt to wait.
-  /// Implementations must only return jobs that fit right now
-  /// (cluster.eligible_free(job.effective_request) >= job.nodes); the
-  /// simulator treats a non-fitting pick as a policy bug.
+  /// Implementations must only return jobs that fit right now on every
+  /// dimension (fits_now); the simulator treats a non-fitting pick as a
+  /// policy bug. The order of `running` is unspecified.
   [[nodiscard]] virtual std::optional<std::size_t> pick_next(
       const std::deque<QueuedJob>& queue, const ClusterView& cluster,
       const std::vector<RunningJobInfo>& running, Seconds now) = 0;
 };
 
-/// True when the job can start immediately.
+/// True when the job can start immediately: at least `job.nodes` free
+/// machines cover its preview.
 [[nodiscard]] bool fits_now(const QueuedJob& job, const ClusterView& cluster);
 
 }  // namespace resmatch::sched

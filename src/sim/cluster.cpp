@@ -67,22 +67,6 @@ core::CapacityLadder Cluster::ladder_for_dim(std::size_t dim) const {
   return core::CapacityLadder(std::move(rungs));
 }
 
-std::size_t Cluster::eligible_free(MiB min_capacity) const {
-  std::size_t count = 0;
-  for (const auto& p : pools_) {
-    if (p.capacity >= min_capacity) count += p.free;
-  }
-  return count;
-}
-
-std::size_t Cluster::eligible_total(MiB min_capacity) const {
-  std::size_t count = 0;
-  for (const auto& p : pools_) {
-    if (p.capacity >= min_capacity) count += p.total;
-  }
-  return count;
-}
-
 std::size_t Cluster::eligible_free_vec(const ResourceVector& req,
                                        std::size_t dims) const {
   std::size_t count = 0;
@@ -101,7 +85,35 @@ std::size_t Cluster::eligible_total_vec(const ResourceVector& req,
   return count;
 }
 
-std::size_t Cluster::machine_count() const { return machines_; }
+std::size_t Cluster::eligible_free(const ResourceVector& request) const {
+  return eligible_free_vec(request, kMaxResourceDims);
+}
+
+template <typename Visit>
+void Cluster::walk_allocation_order(Visit&& visit) const {
+  if (policy_ == AllocationPolicy::kBestFit) {
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      if (!visit(i)) return;
+    }
+  } else {
+    for (std::size_t i = pools_.size(); i-- > 0;) {
+      if (!visit(i)) return;
+    }
+  }
+}
+
+std::size_t Cluster::eligible_free_before(
+    const ResourceVector& request, const ResourceVector& reserved) const {
+  std::size_t count = 0;
+  walk_allocation_order([&](std::size_t i) {
+    const Pool& p = pools_[i];
+    if (p.free == 0 || !p.cap.covers(request, kMaxResourceDims)) return true;
+    if (p.cap.covers(reserved, kMaxResourceDims)) return false;
+    count += p.free;
+    return true;
+  });
+  return count;
+}
 
 double Cluster::busy_fraction() const noexcept {
   if (machines_ == 0) return busy_ > 0 ? 1.0 : 0.0;
@@ -200,15 +212,10 @@ std::optional<Allocation> Cluster::allocate_vec(std::uint32_t nodes,
                            : std::min(out.min_capacity, p.capacity);
   };
 
-  if (policy_ == AllocationPolicy::kBestFit) {
-    for (std::size_t i = 0; i < pools_.size() && remaining > 0; ++i) {
-      take_from(i);
-    }
-  } else {
-    for (std::size_t i = pools_.size(); i-- > 0 && remaining > 0;) {
-      take_from(i);
-    }
-  }
+  walk_allocation_order([&](std::size_t i) {
+    take_from(i);
+    return remaining > 0;
+  });
   assert(remaining == 0);
   busy_ += nodes;
   return out;

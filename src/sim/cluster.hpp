@@ -78,26 +78,34 @@ class Cluster final : public sched::ClusterView {
   /// the resource (capacity 0), so a GPU-less pool adds no GPU rung.
   [[nodiscard]] core::CapacityLadder ladder_for_dim(std::size_t dim) const;
 
-  // sched::ClusterView:
-  [[nodiscard]] std::size_t eligible_free(MiB min_capacity) const override;
-  [[nodiscard]] std::size_t eligible_total(MiB min_capacity) const override;
-  [[nodiscard]] std::size_t machine_count() const override;
+  // sched::ClusterView, on every dimension (requests carry zeros beyond
+  // the dimensions a run packs):
+  [[nodiscard]] std::size_t eligible_free(
+      const ResourceVector& request) const override;
+  [[nodiscard]] std::size_t eligible_free_before(
+      const ResourceVector& request,
+      const ResourceVector& reserved) const override;
+
+  /// Total machine count (machines draining out are no longer counted).
+  [[nodiscard]] std::size_t machine_count() const noexcept {
+    return machines_;
+  }
 
   [[nodiscard]] std::size_t busy_count() const noexcept { return busy_; }
   [[nodiscard]] double busy_fraction() const noexcept;
 
   /// Take `nodes` machines, each with capacity >= min_capacity, following
-  /// the fit policy. All-or-nothing; nullopt when not enough machines.
+  /// the fit policy: allocate_vec on memory alone. All-or-nothing;
+  /// nullopt when not enough machines.
   [[nodiscard]] std::optional<Allocation> allocate(std::uint32_t nodes,
                                                    MiB min_capacity);
 
   // --- vector (multi-resource) queries ------------------------------------
   //
-  // The same pool walk generalised to component-wise eligibility: a pool
-  // qualifies when its capacity vector covers `req` in the first `dims`
-  // dimensions. With dims == 1 every method below reduces bit for bit to
-  // its scalar counterpart (same comparison, same walk order), which is
-  // what the dims=1 equivalence gate in tests/mr_equiv_test.cpp pins.
+  // Component-wise eligibility: a pool qualifies when its capacity vector
+  // covers `req` in the first `dims` dimensions. With dims == 1 only
+  // memory is compared, which is what the dims=1 equivalence gate in
+  // tests/mr_equiv_test.cpp pins.
 
   /// Free machines whose capacity vector covers `req` (first `dims` dims).
   [[nodiscard]] std::size_t eligible_free_vec(const ResourceVector& req,
@@ -197,6 +205,12 @@ class Cluster final : public sched::ClusterView {
     /// Full per-node capacity vector; cap[kDimMem] == capacity.
     ResourceVector cap{};
   };
+
+  /// Calls `visit(pool_index)` for each pool in the order the allocator
+  /// takes from them (ascending capacity under best-fit, descending under
+  /// worst-fit) until `visit` returns false.
+  template <typename Visit>
+  void walk_allocation_order(Visit&& visit) const;
 
   /// The one pool of memory capacity `capacity`. Throws
   /// std::invalid_argument (prefixed with `caller`) when no pool or more

@@ -41,6 +41,8 @@ struct RunningRecord {
   /// Resource failure only: timed by a footprint crossing, not a draw.
   bool midjob = false;
   bool active = false;
+  /// Position of this job's entry in the running-set index.
+  std::size_t index_pos = 0;
 };
 
 /// Per-pool busy/capacity integrals, keyed by the initial pool order.
@@ -138,13 +140,11 @@ MrSimulationResult run(trace::JobStream& stream,
   // count) from arrival until the job leaves the system, so memory tracks
   // jobs in flight. Queue entries and running records refer to jobs by
   // slot — opaque to policies, so decision streams are unaffected.
-  // Annotated runs add the job's annotation index; runs with more than one
-  // dimension add its full preview vector (the queue entry carries only
-  // the memory coordinate policies order by).
+  // Annotated runs add the job's annotation index. A queued job's preview
+  // vector lives in its queue entry.
   std::vector<trace::JobRecord> job_slots;
   std::vector<std::uint32_t> job_attempts;
   std::vector<std::size_t> job_annotation;
-  std::vector<ResourceVector> job_preview;
   std::vector<std::size_t> free_job_slots;
   auto admit_job = [&](trace::JobRecord record) {
     const std::size_t annotation_index = pulled - 1;
@@ -159,7 +159,6 @@ MrSimulationResult run(trace::JobStream& stream,
       job_slots.push_back(std::move(record));
       job_attempts.push_back(0);
       if (annotations) job_annotation.emplace_back();
-      if (dims > 1) job_preview.emplace_back();
     }
     if (annotations) job_annotation[slot] = annotation_index;
     return slot;
@@ -186,26 +185,26 @@ MrSimulationResult run(trace::JobStream& stream,
 
   // --- running-set index (hot path) --------------------------------------
   // A live mirror of the active slots, maintained on job start/end instead
-  // of being rebuilt on every pick_next iteration. Entries stay in
-  // ascending slot order, so policies that sort or walk the running set
-  // see a deterministic input.
-  std::vector<std::size_t> index_slots;
+  // of being rebuilt on every pick_next iteration. A start appends; an end
+  // moves the last entry into the vacated position, which its running
+  // record names (RunningRecord::index_pos). Both are O(1), and the order
+  // of the index is unspecified, as the policy contract allows.
+  std::vector<std::size_t> index_slots;  // position -> running slot
   std::vector<sched::RunningJobInfo> index_infos;
-  std::size_t active_jobs = 0;
   auto index_insert = [&](std::size_t slot, sched::RunningJobInfo info) {
-    const auto it =
-        std::lower_bound(index_slots.begin(), index_slots.end(), slot);
-    const auto pos = it - index_slots.begin();
-    index_slots.insert(it, slot);
-    index_infos.insert(index_infos.begin() + pos, info);
+    running[slot].index_pos = index_slots.size();
+    index_slots.push_back(slot);
+    index_infos.push_back(info);
   };
   auto index_erase = [&](std::size_t slot) {
-    const auto it =
-        std::lower_bound(index_slots.begin(), index_slots.end(), slot);
-    assert(it != index_slots.end() && *it == slot);
-    const auto pos = it - index_slots.begin();
-    index_slots.erase(it);
-    index_infos.erase(index_infos.begin() + pos);
+    const std::size_t pos = running[slot].index_pos;
+    assert(pos < index_slots.size() && index_slots[pos] == slot);
+    const std::size_t moved = index_slots.back();
+    index_slots[pos] = moved;
+    index_infos[pos] = index_infos.back();
+    running[moved].index_pos = pos;
+    index_slots.pop_back();
+    index_infos.pop_back();
   };
 
   // Aggregates.
@@ -275,8 +274,7 @@ MrSimulationResult run(trace::JobStream& stream,
     const ResourceVector requested = annotation(q.trace_index).requested;
     const ResourceVector preview =
         estimator.preview(record, requested, system_state());
-    q.effective_request = preview[kDimMem];
-    if (dims > 1) job_preview[q.trace_index] = preview;
+    q.preview = preview;
     if (const auto epoch = estimator.preview_epoch(record, requested)) {
       q.preview_epoch = *epoch;
       q.preview_memoized = true;
@@ -290,19 +288,15 @@ MrSimulationResult run(trace::JobStream& stream,
   // additions still scheduled, it is held instead.
   auto unschedulable = [&](const sched::QueuedJob& q) {
     if (pending_capacity_adds > 0) return false;
-    const ResourceVector preview = dims > 1 ? job_preview[q.trace_index]
-                                            : ResourceVector(q.effective_request);
-    return cluster.eligible_total_vec(preview, dims) < q.nodes;
+    return cluster.eligible_total_vec(q.preview, dims) < q.nodes;
   };
 
   auto make_queued = [&](std::size_t job_slot) {
     const trace::JobRecord& record = job_slots[job_slot];
     sched::QueuedJob q;
     q.trace_index = job_slot;
-    q.id = record.id;
     q.nodes = record.nodes;
     refresh_preview(q);
-    q.enqueue_time = last_event;
     // Runtime input for reservation math: the learned prediction when a
     // predictor is attached, otherwise the user's estimate.
     q.requested_time =
@@ -310,7 +304,6 @@ MrSimulationResult run(trace::JobStream& stream,
             ? config.runtime_predictor->predict(record)
             : (record.requested_time > 0.0 ? record.requested_time
                                            : record.runtime);
-    q.attempts = job_attempts[job_slot];
     return q;
   };
 
@@ -394,7 +387,7 @@ MrSimulationResult run(trace::JobStream& stream,
     }
 
     const sched::RunningJobInfo run_info{run.expected_end, record.nodes,
-                                         run.granted[kDimMem]};
+                                         run.granted};
     std::size_t slot;
     if (!free_slots.empty()) {
       slot = free_slots.back();
@@ -404,7 +397,6 @@ MrSimulationResult run(trace::JobStream& stream,
       slot = running.size();
       running.push_back(std::move(run));
     }
-    ++active_jobs;
     index_insert(slot, run_info);
     assert(end >= now);
     events.push(end, slot);
@@ -463,7 +455,8 @@ MrSimulationResult run(trace::JobStream& stream,
     sched::QueuedJob q = make_queued(job_slot);
     if (unschedulable(q)) {
       ++result.dropped_unschedulable;
-      RM_LOG(kDebug) << "dropping unschedulable job " << q.id;
+      RM_LOG(kDebug) << "dropping unschedulable job "
+                     << job_slots[job_slot].id;
       retire_job(job_slot);
       return;
     }
@@ -540,7 +533,6 @@ MrSimulationResult run(trace::JobStream& stream,
         run.active = false;
         cluster.release(run.allocation);
         free_slots.push_back(event.payload);
-        --active_jobs;
         index_erase(event.payload);
         const trace::JobRecord& record = job_slots[run.job_slot];
         const trace::MrJobInfo info = annotation(run.job_slot);
@@ -643,7 +635,7 @@ MrSimulationResult run(trace::JobStream& stream,
     }
     if (config.timeseries) {
       config.timeseries->observe(now, cluster.busy_fraction(), queue.size(),
-                                 active_jobs);
+                                 index_slots.size());
     }
   }
 

@@ -56,6 +56,16 @@ ScenarioWorkload generate_cloud(const CloudModelConfig& cfg) {
     throw std::invalid_argument("generate_cloud: empty population");
   }
   util::Rng rng(cfg.seed);
+  // The two output arrays are allocated before the group tables, which
+  // die with this call. A caller that frees one trace and generates the
+  // next (perfbench's repeat loop) then gets the freed block back for
+  // them; allocated after the temporaries, they can miss it by a few KiB
+  // and grow the heap by a whole array.
+  ScenarioWorkload out;
+  out.dims = kMaxResourceDims;
+  out.base.name = "cloud-diurnal";
+  out.base.jobs.reserve(cfg.job_count);
+  out.mr.reserve(cfg.job_count);
 
   // --- group population ----------------------------------------------------
   std::vector<CloudGroup> groups;
@@ -88,12 +98,6 @@ ScenarioWorkload generate_cloud(const CloudModelConfig& cfg) {
                                     cfg.group_popularity_exponent);
 
   // --- emission: monotone clock, diurnal-modulated Poisson gaps ------------
-  ScenarioWorkload out;
-  out.dims = kMaxResourceDims;
-  out.base.name = "cloud-diurnal";
-  out.base.jobs.reserve(cfg.job_count);
-  out.mr.reserve(cfg.job_count);
-
   const double amplitude = std::clamp(cfg.diurnal_amplitude, 0.0, 0.95);
   Seconds clock = 0.0;
   for (std::size_t j = 0; j < cfg.job_count; ++j) {

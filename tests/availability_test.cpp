@@ -66,7 +66,7 @@ TEST(Availability, RemoveMoreThanExistsClamps) {
   Cluster cluster({{32.0, 4}});
   cluster.remove_machines(32.0, 100);
   EXPECT_EQ(cluster.machine_count(), 0u);
-  EXPECT_EQ(cluster.eligible_total(0.0), 0u);
+  EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(0.0), 1), 0u);
 }
 
 TEST(Availability, RoundTripAddRemovePreservesInvariants) {

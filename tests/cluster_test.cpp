@@ -22,10 +22,10 @@ TEST(ClusterSpecHelper, Cm5Heterogeneous) {
 TEST(Cluster, CountsAndLadder) {
   Cluster cluster({{32.0, 4}, {8.0, 2}, {24.0, 3}});
   EXPECT_EQ(cluster.machine_count(), 9u);
-  EXPECT_EQ(cluster.eligible_total(0.0), 9u);
-  EXPECT_EQ(cluster.eligible_total(10.0), 7u);
-  EXPECT_EQ(cluster.eligible_total(32.0), 4u);
-  EXPECT_EQ(cluster.eligible_total(33.0), 0u);
+  EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(0.0), 1), 9u);
+  EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(10.0), 1), 7u);
+  EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(32.0), 1), 4u);
+  EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(33.0), 1), 0u);
   const auto ladder = cluster.ladder();
   ASSERT_EQ(ladder.size(), 3u);
   EXPECT_DOUBLE_EQ(ladder.round_up(9.0), 24.0);

@@ -7,14 +7,20 @@
 // digests (tests/sim_golden.hpp) anchor it to the original simulator.
 //
 // The dims>1 golden grid pins the vector runs of every multi-resource
-// scenario at dims 2 and 3. The multi-dimension tests then pin what the
-// vector path ADDS: kills attributed to the culprit dimension only, and
-// footprint crossings that time kills deterministically instead of by the
-// paper's uniform draw.
+// scenario at dims 2 and 3, plus a loaded cloud-diurnal row where the
+// three policies part ways. The multi-dimension tests then pin what the
+// vector path ADDS: policies that only pick jobs the allocator accepts,
+// kills attributed to the culprit dimension only, and footprint
+// crossings that time kills deterministically instead of by the paper's
+// uniform draw.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <deque>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/runtime_predictor.hpp"
 #include "exp/scenarios.hpp"
@@ -92,7 +98,75 @@ TEST(MrEquivalence, MultiResourceGoldenDigests) {
   }
 }
 
+TEST(MrEquivalence, LoadedMultiResourceGoldenDigests) {
+  // The pinned loaded row (tests/sim_golden.hpp): a queue forms, so
+  // FCFS, SJF and EASY each make their own decisions.
+  const trace::ScenarioWorkload scenario = golden::loaded_scenario();
+  for (const std::size_t dims : {2u, 3u}) {
+    for (std::size_t p = 0; p < std::size(golden::kPolicies); ++p) {
+      for (std::size_t a = 0; a < std::size(golden::kMrArms); ++a) {
+        const golden::MrArm& arm = golden::kMrArms[a];
+        SCOPED_TRACE("loaded dims=" + std::to_string(dims) + " / " +
+                     golden::kPolicies[p] + " / " + arm.estimator +
+                     (arm.explicit_feedback ? " explicit" : " implicit"));
+        EXPECT_EQ(
+            golden::run_scenario(scenario, dims, golden::kPolicies[p], arm),
+            golden::kMrLoadedDigests[dims - 2][p][a]);
+      }
+    }
+  }
+}
+
 // --- multi-dimension behaviour --------------------------------------------
+
+/// Forwards to a policy and counts the jobs it picks.
+class CountingPolicy final : public sched::SchedulingPolicy {
+ public:
+  explicit CountingPolicy(sched::SchedulingPolicy& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  [[nodiscard]] std::optional<std::size_t> pick_next(
+      const std::deque<sched::QueuedJob>& queue,
+      const sched::ClusterView& cluster,
+      const std::vector<sched::RunningJobInfo>& running,
+      Seconds now) override {
+    const auto pick = inner_.pick_next(queue, cluster, running, now);
+    if (pick) ++picked_;
+    return pick;
+  }
+
+  [[nodiscard]] std::size_t picked() const { return picked_; }
+
+ private:
+  sched::SchedulingPolicy& inner_;
+  std::size_t picked_ = 0;
+};
+
+TEST(MrEquivalence, EveryPickStartsUnderSuccessiveApproximation) {
+  // Policies see the vector the allocator checks, and on this trace
+  // successive approximation never commits an estimate that outgrows the
+  // preview the policy saw, so no pick is refused: every job EASY picks
+  // starts.
+  const trace::ScenarioWorkload scenario = golden::loaded_scenario();
+  for (const bool explicit_feedback : {false, true}) {
+    SCOPED_TRACE(explicit_feedback ? "explicit" : "implicit");
+    core::VectorEstimatorConfig est_cfg;
+    est_cfg.dims = 3;
+    est_cfg.estimator = "successive-approximation";
+    core::VectorEstimator est(est_cfg);
+    const auto easy = sched::make_policy("easy-backfill");
+    CountingPolicy counting(*easy);
+    sim::MrSimulationConfig cfg;
+    cfg.dims = 3;
+    cfg.base.seed = 7;
+    cfg.base.explicit_feedback = explicit_feedback;
+    const auto result = sim::simulate_mr(
+        scenario, exp::scenario_cluster(3), est, counting, cfg);
+    EXPECT_GT(result.base.attempts, result.base.submitted / 2);
+    EXPECT_EQ(counting.picked(), result.base.attempts);
+  }
+}
 
 trace::ScenarioWorkload two_job_scenario(trace::FootprintShape second_shape) {
   // Two jobs in one similarity group (same user/app/request). The first

@@ -130,13 +130,15 @@ TEST(ClusterVec, HigherDimLaddersSkipUnprovisionedPools) {
   EXPECT_EQ(gpu.rungs(), (std::vector<double>{2.0, 4.0}));
 }
 
-TEST(ClusterVec, EligibilityMatchesScalarAtDimsOne) {
+TEST(ClusterVec, MemoryOnlyRequestsCompareMemoryAlone) {
+  // The policy view compares every dimension; a request whose CPU and GPU
+  // coordinates are zero must count exactly what dims=1 counts.
   const sim::Cluster cluster(vector_spec());
   for (const double req : {0.0, 4.0, 16.0, 17.0, 24.0, 32.0, 33.0}) {
-    EXPECT_EQ(cluster.eligible_free_vec(ResourceVector(req), 1),
-              cluster.eligible_free(req));
-    EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(req), 1),
-              cluster.eligible_total(req));
+    EXPECT_EQ(cluster.eligible_free(ResourceVector(req)),
+              cluster.eligible_free_vec(ResourceVector(req), 1));
+    EXPECT_EQ(cluster.eligible_total_vec(ResourceVector(req), kMaxResourceDims),
+              cluster.eligible_total_vec(ResourceVector(req), 1));
   }
 }
 
