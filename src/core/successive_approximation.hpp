@@ -25,7 +25,6 @@
 // single-threaded path.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/estimator.hpp"
@@ -90,16 +89,20 @@ class SuccessiveApproximationEstimator final : public Estimator {
   }
 
  private:
-  struct GroupState {
-    SaGroupState core;        ///< the Algorithm 1 state machine
-    std::vector<MiB> grants;  ///< recorded E' sequence (optional)
-  };
-
-  GroupState& state_for(const trace::JobRecord& job);
+  /// The job's group id, creating the group (Algorithm 1 line 4) if new.
+  GroupId group_for(const trace::JobRecord& job);
+  /// The job's group state, or nullptr when the group is unknown.
+  [[nodiscard]] const SaGroupState* find_state(
+      const trace::JobRecord& job) const;
 
   SuccessiveApproxConfig config_;
   SimilarityIndex index_;
-  std::vector<GroupState> groups_;
+  /// Algorithm 1 state by group id: 48 bytes, the only per-group record
+  /// the hot path reads.
+  std::vector<SaGroupState> groups_;
+  /// Recorded E' sequences by group id; filled only when
+  /// record_trajectories is set.
+  std::vector<std::vector<MiB>> grants_;
   std::size_t successes_ = 0;
   std::size_t failures_ = 0;
 };

@@ -269,18 +269,15 @@ MrSimulationResult run(trace::JobStream& stream,
   // job's group keeps learning while it waits). The preview memo: while
   // the estimator keeps reporting this epoch for the job, the stored
   // preview is guaranteed current and the refresh can be skipped.
+  auto set_memo = [](sched::QueuedJob& q, std::optional<std::uint64_t> epoch) {
+    q.preview_memoized = epoch.has_value();
+    if (epoch) q.preview_epoch = *epoch;
+  };
   auto refresh_preview = [&](sched::QueuedJob& q) {
     const trace::JobRecord& record = job_slots[q.trace_index];
     const ResourceVector requested = annotation(q.trace_index).requested;
-    const ResourceVector preview =
-        estimator.preview(record, requested, system_state());
-    q.preview = preview;
-    if (const auto epoch = estimator.preview_epoch(record, requested)) {
-      q.preview_epoch = *epoch;
-      q.preview_memoized = true;
-    } else {
-      q.preview_memoized = false;
-    }
+    q.preview = estimator.preview(record, requested, system_state());
+    set_memo(q, estimator.preview_epoch(record, requested));
   };
 
   // A job the cluster can never host (even empty) would block FCFS
@@ -414,14 +411,21 @@ MrSimulationResult run(trace::JobStream& stream,
       // estimator the refresh is O(1).
       if (!queue.empty()) {
         sched::QueuedJob& head = queue.front();
-        bool stale = true;
-        if (head.preview_memoized) {
-          const auto epoch = estimator.preview_epoch(
-              job_slots[head.trace_index],
-              annotation(head.trace_index).requested);
-          stale = !(epoch && *epoch == head.preview_epoch);
+        if (!head.preview_memoized) {
+          refresh_preview(head);
+        } else {
+          const trace::JobRecord& record = job_slots[head.trace_index];
+          const ResourceVector requested =
+              annotation(head.trace_index).requested;
+          const auto epoch = estimator.preview_epoch(record, requested);
+          if (!(epoch && *epoch == head.preview_epoch)) {
+            // Stale. Nothing mutates the estimator before the new preview,
+            // so the epoch just read names it: no second probe.
+            head.preview =
+                estimator.preview(record, requested, system_state());
+            set_memo(head, epoch);
+          }
         }
-        if (stale) refresh_preview(head);
         // A head whose refreshed requirement outgrew the whole cluster
         // would block strict FCFS forever.
         if (unschedulable(head)) {

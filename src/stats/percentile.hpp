@@ -5,9 +5,9 @@
 
 namespace resmatch::stats {
 
-/// Collects samples and answers percentile queries by sorting on demand.
-/// Simulation runs collect at most a few hundred thousand samples, so the
-/// O(n log n) sort on first query is cheap and exact.
+/// Collects samples and answers percentile queries exactly by selection:
+/// each query is an O(n) std::nth_element over the samples, not a sort. A
+/// simulation asks once (p95 slowdown) over up to one sample per job.
 class PercentileTracker {
  public:
   void add(double x);
@@ -20,8 +20,8 @@ class PercentileTracker {
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
 
  private:
+  /// Queries reorder the samples in place; the multiset never changes.
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 }  // namespace resmatch::stats

@@ -6,19 +6,6 @@
 
 namespace resmatch::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  std::uint64_t s = x;
-  return splitmix64(s);
-}
-
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

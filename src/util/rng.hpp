@@ -13,11 +13,20 @@
 
 namespace resmatch::util {
 
-/// splitmix64 step; used for seeding and cheap hash mixing.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// splitmix64 step; used for seeding and cheap hash mixing. Inline: hash
+/// tables (core::SimilarityIndex) mix on every probe.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless 64-bit mix of a single value (useful for stable hashing).
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  return splitmix64(x);
+}
 
 /// xoshiro256** engine. Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -3,10 +3,18 @@
 // and the prerequisite-package estimator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "core/capacity_ladder.hpp"
 #include "core/multi_resource.hpp"
 #include "core/prereq_estimator.hpp"
 #include "core/similarity.hpp"
+#include "util/rng.hpp"
 
 namespace resmatch::core {
 namespace {
@@ -84,6 +92,67 @@ TEST(SimilarityIndex, CustomKeyFunction) {
       [](const trace::JobRecord& j) { return static_cast<std::uint64_t>(j.user); });
   EXPECT_EQ(index.group_of(job_of(1, 1, 32)), index.group_of(job_of(1, 9, 8)));
   EXPECT_NE(index.group_of(job_of(1, 1, 32)), index.group_of(job_of(2, 1, 32)));
+}
+
+TEST(SimilarityIndex, MatchesFirstSeenMapThroughGrowth) {
+  // Differential test against std::unordered_map assigning first-seen ids:
+  // over 100k keys (16 slots grown through 14 doublings), with the keys 0
+  // and UINT64_MAX, and with keys sharing all their low bits so that an
+  // unmixed table would put every key in one probe chain.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::size_t kGroups = 100000;
+  const std::pair<const char*, SimilarityKeyFn> key_fns[] = {
+      {"id", [](const trace::JobRecord& j) { return j.id; }},
+      {"id << 40", [](const trace::JobRecord& j) { return j.id << 40; }},
+  };
+  for (const auto& named : key_fns) {
+    SCOPED_TRACE(named.first);
+    const SimilarityKeyFn& key_fn = named.second;
+    SimilarityIndex index(key_fn);
+    std::unordered_map<std::uint64_t, GroupId> reference;
+    std::vector<JobId> seen;
+    util::Rng rng(11);
+    auto job_with = [](JobId id) {
+      trace::JobRecord j;
+      j.id = id;
+      return j;
+    };
+    auto expected_find = [&](JobId id) -> std::optional<GroupId> {
+      const auto it = reference.find(key_fn(job_with(id)));
+      if (it == reference.end()) return std::nullopt;
+      return it->second;
+    };
+    auto add = [&](JobId id) {
+      // find first: it must agree with the reference and never create.
+      const std::size_t before = index.group_count();
+      ASSERT_EQ(index.find(job_with(id)), expected_find(id));
+      ASSERT_EQ(index.group_count(), before);
+      const auto [it, inserted] =
+          reference.try_emplace(key_fn(job_with(id)), reference.size());
+      ASSERT_EQ(index.group_of(job_with(id)), it->second);
+      ASSERT_EQ(index.group_count(), reference.size());
+      if (inserted) seen.push_back(id);
+    };
+    ASSERT_NO_FATAL_FAILURE(add(0));
+    ASSERT_NO_FATAL_FAILURE(add(kMax));
+    while (reference.size() < kGroups) {
+      const auto last = static_cast<std::int64_t>(seen.size()) - 1;
+      const JobId id =
+          rng.bernoulli(0.6) ? rng() : seen[rng.uniform_int(0, last)];
+      ASSERT_NO_FATAL_FAILURE(add(id));
+      // A probe for a key that is (almost surely) absent.
+      if (rng.bernoulli(0.1)) {
+        const JobId absent = rng();
+        ASSERT_EQ(index.find(job_with(absent)), expected_find(absent));
+      }
+    }
+    EXPECT_EQ(index.group_count(), kGroups);
+    for (const JobId id : seen) {
+      ASSERT_EQ(index.find(job_with(id)), expected_find(id));
+    }
+    EXPECT_EQ(index.find(job_with(0)), 0u);
+    EXPECT_EQ(index.find(job_with(kMax)), 1u);
+  }
 }
 
 TEST(MultiResource, FirstEstimateProbesOneCoordinate) {

@@ -3,6 +3,7 @@
 // Figure 1 (log-linear fit, fraction >= 2x) and §3.2 (R² = 0.991 fit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "stats/percentile.hpp"
 #include "stats/regression.hpp"
 #include "stats/summary.hpp"
+#include "util/rng.hpp"
 
 namespace resmatch::stats {
 namespace {
@@ -250,6 +252,57 @@ TEST(Percentile, AddAfterQueryResorts) {
   p.add(20.0);
   EXPECT_DOUBLE_EQ(p.median(), 10.0);
   EXPECT_DOUBLE_EQ(p.percentile(0), 0.0);
+}
+
+/// The tracker's definition, computed on a fully sorted copy.
+double sorted_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
+                      static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + (samples[hi] - samples[lo]) * frac;
+}
+
+TEST(Percentile, SelectionMatchesSortedReferenceBitForBit) {
+  // Selection must return the very order statistics a sort would, so the
+  // simulator's p95 slowdown (and every digest over it) cannot move.
+  const double kPs[] = {0.0, 1.0, 50.0, 95.0, 99.9, 100.0};
+  util::Rng rng(2024);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 100u, 1001u, 20000u}) {
+    PercentileTracker tracker;
+    std::vector<double> reference;
+    auto add = [&](double x) {
+      tracker.add(x);
+      reference.push_back(x);
+    };
+    auto check_all = [&] {
+      for (const double p : kPs) {
+        EXPECT_EQ(tracker.percentile(p), sorted_percentile(reference, p))
+            << "n=" << reference.size() << " p=" << p;
+      }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      // Half the draws from a small integer range, so ties are common.
+      add(rng.bernoulli(0.5) ? static_cast<double>(rng.uniform_int(0, 9))
+                             : rng.lognormal(0.0, 2.0));
+    }
+    check_all();
+    check_all();  // repeated queries see the reordered samples
+    for (auto it = std::rbegin(kPs); it != std::rend(kPs); ++it) {
+      EXPECT_EQ(tracker.percentile(*it), sorted_percentile(reference, *it));
+    }
+    // Adds between queries, ties with existing samples included.
+    for (std::size_t i = 0; i < 5; ++i) {
+      add(reference[rng.uniform_int(0, static_cast<std::int64_t>(
+                                           reference.size() - 1))]);
+      add(rng.uniform(-1.0, 1.0));
+      EXPECT_EQ(tracker.percentile(95.0), sorted_percentile(reference, 95.0));
+    }
+    check_all();
+    EXPECT_EQ(tracker.count(), reference.size());
+  }
 }
 
 }  // namespace
