@@ -24,6 +24,11 @@
 // The running set arrives in no particular order. The by-end order sorts
 // it on a total order (expected end, then nodes, then grant), so the
 // reservation depends on the running set alone, not on its arrival order.
+// The policy keeps that order across passes and, on each pass, updates
+// it only where `running` differs position by position from the set it
+// last saw. The simulator's index appends on a start and swap-removes on
+// an end, so a pass usually touches one or two positions; any other
+// reordering is still handled correctly, at more cost.
 #pragma once
 
 #include "sched/policy.hpp"
@@ -44,18 +49,24 @@ class EasyBackfillPolicy final : public SchedulingPolicy {
     std::size_t extra_nodes = 0; ///< head-covering nodes spare at shadow time
   };
 
-  /// Refresh by_end_ from `running` — copy + sort only when the running
-  /// set actually changed since the previous pass (simulator hot path:
-  /// most scheduling passes at load see an unchanged running set).
+  /// Bring by_end_ and last_running_ up to `running`: at each position
+  /// where the two differ, erase the old entry from by_end_ and insert the
+  /// new one in order; entries past the shorter vector are erased or
+  /// inserted. Costs one compare pass plus O(n) per changed position.
   void refresh_by_end(const std::vector<RunningJobInfo>& running);
 
+  /// The head's reservation given `available`, the free machines that
+  /// cover its preview now (fewer than it needs).
   [[nodiscard]] Reservation compute_reservation(const QueuedJob& head,
-                                                const ClusterView& cluster,
+                                                std::size_t available,
                                                 Seconds now) const;
 
-  /// Running jobs ordered by expected completion, reused across passes.
+  /// The entries of last_running_, sorted on the by-end order. Kept
+  /// across passes; equal entries are identical, so it is exactly the
+  /// sequence a fresh sort of the running set would give.
   std::vector<RunningJobInfo> by_end_;
-  /// The exact input by_end_ was derived from (staleness check).
+  /// The running set by_end_ holds, in the order the last pass received
+  /// it; the next pass diffs against it position by position.
   std::vector<RunningJobInfo> last_running_;
 };
 

@@ -47,8 +47,9 @@ struct RunningJobInfo {
   std::uint32_t nodes = 1;
   ResourceVector granted{};    ///< per-node capacity the job runs with
 
-  /// Exact-value equality: lets policies detect "running set unchanged
-  /// since my last pass" and reuse derived scratch (EASY's by-end order).
+  /// Exact-value equality: EASY compares each position of the running
+  /// set with the entry it saw there on its last pass, and updates its
+  /// kept by-end order only where the two differ.
   friend bool operator==(const RunningJobInfo&,
                          const RunningJobInfo&) = default;
 };

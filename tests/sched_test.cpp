@@ -3,6 +3,8 @@
 // memory alone and on the full resource vector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "sched/fcfs.hpp"
 #include "sched/sjf.hpp"
 #include "sim/cluster.hpp"
+#include "util/rng.hpp"
 
 namespace resmatch::sched {
 namespace {
@@ -197,6 +200,81 @@ TEST(Easy, ReservationIgnoresRunningSetOrder) {
   std::swap(running[0], running[1]);
   EasyBackfillPolicy reversed;
   EXPECT_EQ(reversed.pick_next(queue, cluster, running, 0.0), 1u);
+  // The same instance, seeing the set reordered, must agree as well.
+  EXPECT_EQ(forward.pick_next(queue, cluster, running, 0.0), 1u);
+}
+
+TEST(Easy, KeptByEndOrderMatchesAFreshPolicy) {
+  // One policy keeps its by-end order across 20,000 running-set changes;
+  // at every step a fresh policy sees the same set and must pick the
+  // same job. Steps append or swap-remove, as the simulator does, and
+  // sometimes duplicate an entry, reverse the set or empty it, which
+  // the simulator never does. Every candidate requests the head's
+  // vector, so rule (b) never applies and each pick rests on the shadow
+  // time (rule a) or the spare-node count (rule c).
+  const ResourceVector head_request(32.0, 8.0);
+  // Three free machines cover the head; five smaller ones do not.
+  FakeCluster cluster({{ResourceVector(16.0, 4.0), 5},
+                       {ResourceVector(32.0, 8.0, 1.0), 3}});
+  // The first two grants cover the head's request, the last two do not.
+  const std::vector<ResourceVector> grants = {
+      ResourceVector(32.0, 8.0), ResourceVector(64.0, 16.0, 1.0),
+      ResourceVector(32.0, 4.0), ResourceVector(16.0, 8.0)};
+
+  util::Rng rng(2026);
+  // Expected ends on a 50 s grid, so equal ends (ties) are common.
+  auto grid = [&](std::int64_t lo, std::int64_t hi) {
+    return 50.0 * static_cast<double>(rng.uniform_int(lo, hi));
+  };
+  auto random_job = [&]() {
+    return RunningJobInfo{
+        grid(1, 30), static_cast<std::uint32_t>(rng.uniform_int(1, 4)),
+        grants[static_cast<std::size_t>(rng.uniform_int(0, 3))]};
+  };
+
+  EasyBackfillPolicy kept;
+  std::vector<RunningJobInfo> running;
+  std::size_t waits = 0;
+  std::size_t backfills = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t action = rng.uniform_int(0, 999);
+    if (action < 480) {
+      if (running.size() < 64) running.push_back(random_job());
+    } else if (action < 940) {
+      if (!running.empty()) {
+        const auto pos = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(running.size()) - 1));
+        running[pos] = running.back();
+        running.pop_back();
+      }
+    } else if (action < 970) {
+      if (!running.empty()) running.push_back(running.front());
+    } else if (action < 998) {
+      std::reverse(running.begin(), running.end());
+    } else {
+      running.clear();
+    }
+
+    // The head needs 4-16 machines and only 3 are free, so it waits.
+    std::deque<QueuedJob> queue = {
+        queued(0, static_cast<std::uint32_t>(rng.uniform_int(4, 16)),
+               head_request)};
+    for (std::size_t i = 1; i <= 3; ++i) {
+      queue.push_back(
+          queued(i, static_cast<std::uint32_t>(rng.uniform_int(1, 3)),
+                 head_request, grid(1, 30)));
+    }
+    const Seconds now = grid(0, 5);
+
+    EasyBackfillPolicy fresh;
+    const auto expected = fresh.pick_next(queue, cluster, running, now);
+    ASSERT_EQ(kept.pick_next(queue, cluster, running, now), expected)
+        << "step " << step << ", " << running.size() << " running";
+    ++(expected.has_value() ? backfills : waits);
+  }
+  // Both outcomes are common, so the picks do depend on the order.
+  EXPECT_GT(waits, 2000u);
+  EXPECT_GT(backfills, 2000u);
 }
 
 // --- the full resource vector ----------------------------------------------
