@@ -7,12 +7,11 @@
 // that group happens under its stripe's lock. Algorithm 1's transitions
 // are a handful of loads and stores, so the critical sections are tens of
 // nanoseconds and throughput scales with the shard count, not the worker
-// count (measured in bench/micro_service.cpp). Hot READS bypass the locks
-// entirely: every mutation also publishes the group's post-transition
-// state into a per-shard seqlock table that peek_fast() reads lock-free,
-// so preview/estimate traffic never contends with writers. Batch callers
-// (matchd's bulk-drain worker loop) use with_shard() to apply a whole run
-// of same-shard transitions under a single lock acquisition.
+// count (measured in bench/micro_service.cpp). Reads take the shard lock
+// too: peek() copies the group's state out under it, so a read never sees
+// a half-applied transition. Batch callers (matchd's bulk-drain worker
+// loop) use with_shard() to apply a whole run of same-shard transitions
+// under a single lock acquisition.
 //
 // The store is bounded: each shard holds at most max_groups/shards entries
 // and evicts least-recently-used groups beyond that. Eviction forgets a
@@ -27,25 +26,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <fstream>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
+#include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "util/expected.hpp"
 #include "util/fault.hpp"
+#include "util/strings.hpp"
 
 namespace resmatch::svc {
 
@@ -87,41 +87,6 @@ class EstimatorStore {
  private:
   struct Shard;  // fwd: LockedShard below borrows one locked stripe
 
-  // --- seqlock read table ---------------------------------------------------
-  //
-  // Each stripe carries an open-addressed table of seqlock-published group
-  // states that peek_fast() reads without the shard mutex. All mutation
-  // paths write it under the shard lock (single writer per table), so only
-  // writer-vs-reader ordering matters: a publish wraps its field stores in
-  // an odd/even seq window, and readers retry on any seq change. Every
-  // shared word is a std::atomic (relaxed data + acquire/release fences on
-  // seq), keeping the race TSan-clean by construction. Slots are claimed
-  // forever within one table; growth retires the old table into the
-  // shard's keep-alive list instead of freeing it, so a reader still
-  // probing a stale table only ever sees stale-but-valid data.
-
-  /// States wider than this many doubles are not published (the
-  /// kSlotOversize sentinel routes their reads to the locked peek()).
-  static constexpr std::size_t kMaxPublishedFields = 8;
-  static constexpr std::uint32_t kSlotAbsent = 0xFFFFFFFFu;   ///< evicted
-  static constexpr std::uint32_t kSlotOversize = 0xFFFFFFFEu; ///< too wide
-  static constexpr std::size_t kInitialReadSlots = 64;
-
-  struct ReadSlot {
-    std::atomic<std::uint32_t> seq{0};   ///< odd = publish in progress
-    std::atomic<std::uint32_t> used{0};  ///< 1 once claimed for a key
-    std::atomic<std::uint64_t> key{0};
-    std::atomic<std::uint32_t> n_fields{kSlotAbsent};
-    std::atomic<std::uint64_t> fields[kMaxPublishedFields];
-  };
-
-  struct ReadTable {
-    explicit ReadTable(std::size_t cap) : mask(cap - 1), slots(cap) {}
-    const std::size_t mask;  ///< cap - 1; cap is a power of two
-    std::vector<ReadSlot> slots;
-    std::size_t claimed = 0;  ///< writer-side occupancy, under shard lock
-  };
-
  public:
   explicit EstimatorStore(StoreConfig config = {}) : config_(config) {
     std::size_t n = 1;
@@ -131,12 +96,6 @@ class EstimatorStore {
     shards_ = std::vector<Shard>(n);
     mask_ = n - 1;
     per_shard_cap_ = std::max<std::size_t>(1, config.max_groups / n);
-    for (Shard& s : shards_) {
-      s.read_tables.push_back(
-          std::make_unique<ReadTable>(kInitialReadSlots));
-      s.read_table.store(s.read_tables.back().get(),
-                         std::memory_order_relaxed);
-    }
   }
 
   EstimatorStore(const EstimatorStore&) = delete;
@@ -165,10 +124,10 @@ class EstimatorStore {
 
   /// Borrowed view of one locked stripe, handed to with_shard()'s
   /// callback. Same find-or-create / modify semantics (and the same LRU
-  /// and read-table bookkeeping) as the one-shot calls above, but without
-  /// re-locking per group — the batch path applies a whole run of
-  /// transitions under ONE lock acquisition. Every key passed MUST hash
-  /// to the borrowed stripe (shard_of(key) == the with_shard index).
+  /// bookkeeping) as the one-shot calls above, but without re-locking per
+  /// group — the batch path applies a whole run of transitions under ONE
+  /// lock acquisition. Every key passed MUST hash to the borrowed stripe
+  /// (shard_of(key) == the with_shard index).
   class LockedShard {
    public:
     template <typename Make, typename Fn>
@@ -210,59 +169,6 @@ class EstimatorStore {
     auto it = shard.index.find(key);
     if (it == shard.index.end()) return std::nullopt;
     return it->second->second;
-  }
-
-  /// Lock-free peek: reads the group's last published state from the
-  /// shard's seqlock read table without touching the shard mutex, so hot
-  /// previews never contend with writers. Every mutation path publishes
-  /// under the shard lock (single writer per table), readers retry on a
-  /// torn seqlock window and fall back to the locked peek() after a few
-  /// attempts — the result is always a state some serialization of the
-  /// concurrent history could have produced, and under serial drive it is
-  /// byte-identical to peek(). States wider than kMaxPublishedFields
-  /// doubles are not published and always take the locked fallback.
-  [[nodiscard]] std::optional<State> peek_fast(std::uint64_t key) const {
-    const Shard& shard = shard_for(key);
-    const ReadTable* t = shard.read_table.load(std::memory_order_acquire);
-    const std::size_t cap = t->mask + 1;
-    const ReadSlot* slot = nullptr;
-    std::size_t i = mix(key) & t->mask;
-    for (std::size_t probe = 0; probe < cap; ++probe, i = (i + 1) & t->mask) {
-      const ReadSlot& s = t->slots[i];
-      if (s.used.load(std::memory_order_acquire) == 0) {
-        // Claims are never removed within a table, so an empty slot on
-        // the probe chain proves the key was never published here.
-        return std::nullopt;
-      }
-      if (s.key.load(std::memory_order_relaxed) == key) {
-        slot = &s;
-        break;
-      }
-    }
-    if (slot == nullptr) return std::nullopt;
-    double fields[kMaxPublishedFields];
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const std::uint32_t s1 = slot->seq.load(std::memory_order_acquire);
-      if ((s1 & 1u) != 0) continue;  // publish in progress
-      const std::uint32_t n =
-          slot->n_fields.load(std::memory_order_relaxed);
-      if (n <= kMaxPublishedFields) {
-        for (std::uint32_t j = 0; j < n; ++j) {
-          const std::uint64_t w =
-              slot->fields[j].load(std::memory_order_relaxed);
-          std::memcpy(&fields[j], &w, sizeof(w));
-        }
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot->seq.load(std::memory_order_relaxed) != s1) continue;
-      if (n == kSlotAbsent) return std::nullopt;  // evicted
-      if (n == kSlotOversize) break;              // unpublishable state
-      auto state =
-          State::from_fields(std::vector<double>(fields, fields + n));
-      if (!state) break;
-      return std::optional<State>(std::move(*state));
-    }
-    return peek(key);  // contended or unpublishable: locked fallback
   }
 
   /// Visit every (key, state) pair, one shard lock at a time. `fn` must
@@ -408,7 +314,8 @@ class EstimatorStore {
   /// error. When `model` is non-null and the snapshot carries a
   /// `model,...` row, its fields are copied there (left untouched
   /// otherwise — old snapshots simply lack the row); a model row in a
-  /// snapshot read without a `model` out-param is skipped.
+  /// snapshot read without a `model` out-param is still parsed, then
+  /// skipped.
   [[nodiscard]] util::Expected<std::size_t> load(
       std::istream& in, std::vector<double>* model = nullptr) {
     std::string line;
@@ -451,27 +358,26 @@ class EstimatorStore {
             "truncated trailing row (no newline): " + line);
       }
       if (line.empty()) continue;
-      std::istringstream row(line);
-      std::string cell;
-      if (!std::getline(row, cell, ',')) {
-        return util::Expected<std::size_t>::failure("malformed row: " + line);
-      }
-      const bool model_row = cell == "model";
+      // Every cell must parse in full: "16x" or "7junk" is a corrupt row,
+      // not a number with trailing noise to drop.
+      const std::vector<std::string_view> cells = util::split(line, ',');
+      const bool model_row = cells.front() == "model";
       std::uint64_t key = 0;
       if (!model_row) {
-        try {
-          key = std::stoull(cell);
-        } catch (const std::exception&) {
+        const std::string_view cell = cells.front();
+        const char* end = cell.data() + cell.size();
+        const auto [ptr, ec] = std::from_chars(cell.data(), end, key);
+        if (ec != std::errc{} || ptr != end) {
           return util::Expected<std::size_t>::failure("bad key: " + line);
         }
       }
       std::vector<double> fields;
-      while (std::getline(row, cell, ',')) {
-        try {
-          fields.push_back(std::stod(cell));
-        } catch (const std::exception&) {
+      for (std::size_t i = 1; i < cells.size(); ++i) {
+        const auto field = util::parse_double(cells[i]);
+        if (!field) {
           return util::Expected<std::size_t>::failure("bad field: " + line);
         }
+        fields.push_back(*field);
       }
       if (model_row) {
         if (model != nullptr) *model = std::move(fields);
@@ -519,14 +425,6 @@ class EstimatorStore {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> evictions{0};
-    /// Seqlock read table peek_fast() probes lock-free. Mutated (and
-    /// swapped on growth) only under the shard mutex.
-    std::atomic<ReadTable*> read_table{nullptr};
-    /// Every table ever installed, newest last. Retired tables are kept
-    /// alive so a reader racing a growth never touches freed memory; the
-    /// geometric growth schedule bounds the total waste at ~1x the live
-    /// table.
-    std::vector<std::unique_ptr<ReadTable>> read_tables;
   };
 
   /// splitmix64 finalizer: similarity keys are themselves hashes, but
@@ -545,99 +443,6 @@ class EstimatorStore {
     counter.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Seqlock-publish one state (or a sentinel) into a claimed slot.
-  /// Caller holds the shard mutex (single writer).
-  static void publish_slot(ReadSlot& slot, std::uint32_t n,
-                           const double* fields) noexcept {
-    const std::uint32_t s0 = slot.seq.load(std::memory_order_relaxed);
-    slot.seq.store(s0 + 1, std::memory_order_relaxed);  // odd: in progress
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.n_fields.store(n, std::memory_order_relaxed);
-    if (n <= kMaxPublishedFields) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint64_t w;
-        std::memcpy(&w, &fields[i], sizeof(w));
-        slot.fields[i].store(w, std::memory_order_relaxed);
-      }
-    }
-    slot.seq.store(s0 + 2, std::memory_order_release);  // even: complete
-  }
-
-  /// Find (or claim) the slot for `key` in the shard's live table, growing
-  /// the table when the probe chain fills past half load. Caller holds the
-  /// shard mutex.
-  ReadSlot* claim_slot(Shard& shard, std::uint64_t key) {
-    for (;;) {
-      ReadTable* t = shard.read_table.load(std::memory_order_relaxed);
-      const std::size_t cap = t->mask + 1;
-      std::size_t i = mix(key) & t->mask;
-      for (std::size_t probe = 0; probe < cap;
-           ++probe, i = (i + 1) & t->mask) {
-        ReadSlot& slot = t->slots[i];
-        if (slot.used.load(std::memory_order_relaxed) == 0) {
-          if ((t->claimed + 1) * 2 > cap) break;  // keep load factor <= 1/2
-          // Order matters for racing readers: key before used, so a slot
-          // observed used always carries its final key (keys never change
-          // once claimed).
-          slot.key.store(key, std::memory_order_relaxed);
-          slot.used.store(1, std::memory_order_release);
-          ++t->claimed;
-          return &slot;
-        }
-        if (slot.key.load(std::memory_order_relaxed) == key) return &slot;
-      }
-      grow_read_table(shard);
-    }
-  }
-
-  /// Install a bigger read table seeded from the shard's live entries
-  /// (dead claims — evicted keys — are left behind, which is what lets a
-  /// claim-forever table survive churn). The old table is retired, not
-  /// freed. Caller holds the shard mutex.
-  void grow_read_table(Shard& shard) {
-    ReadTable* old = shard.read_table.load(std::memory_order_relaxed);
-    std::size_t cap = (old->mask + 1) * 2;
-    while (cap < (shard.entries.size() + 1) * 4) cap <<= 1;
-    auto fresh = std::make_unique<ReadTable>(cap);
-    for (const auto& [k, state] : shard.entries) {
-      std::size_t i = mix(k) & fresh->mask;
-      while (fresh->slots[i].used.load(std::memory_order_relaxed) != 0) {
-        i = (i + 1) & fresh->mask;
-      }
-      ReadSlot& slot = fresh->slots[i];
-      slot.key.store(k, std::memory_order_relaxed);
-      slot.used.store(1, std::memory_order_relaxed);
-      ++fresh->claimed;
-      const std::vector<double> fields = state.to_fields();
-      const std::uint32_t n =
-          fields.size() <= kMaxPublishedFields
-              ? static_cast<std::uint32_t>(fields.size())
-              : kSlotOversize;
-      publish_slot(slot, n, fields.data());
-    }
-    // The release store is what makes the fully seeded table visible to
-    // peek_fast()'s acquire load.
-    shard.read_table.store(fresh.get(), std::memory_order_release);
-    shard.read_tables.push_back(std::move(fresh));
-  }
-
-  /// Publish `state` as the lock-free-readable snapshot of `key`. Caller
-  /// holds the shard mutex.
-  void publish(Shard& shard, std::uint64_t key, const State& state) {
-    const std::vector<double> fields = state.to_fields();
-    const std::uint32_t n =
-        fields.size() <= kMaxPublishedFields
-            ? static_cast<std::uint32_t>(fields.size())
-            : kSlotOversize;
-    publish_slot(*claim_slot(shard, key), n, fields.data());
-  }
-
-  /// Mark `key` absent for lock-free readers (eviction). Caller holds the
-  /// shard mutex.
-  void unpublish(Shard& shard, std::uint64_t key) {
-    publish_slot(*claim_slot(shard, key), kSlotAbsent, nullptr);
-  }
-
   /// with_group body shared by the one-shot and LockedShard entry points.
   /// Caller holds the shard mutex.
   template <typename Make, typename Fn>
@@ -651,7 +456,6 @@ class EstimatorStore {
         const std::uint64_t evicted = shard.entries.front().first;
         shard.index.erase(evicted);
         shard.entries.pop_front();
-        unpublish(shard, evicted);
         bump(shard.evictions);
       }
       shard.entries.emplace_back(key, make());
@@ -662,15 +466,7 @@ class EstimatorStore {
       // iterator (and the index entry) valid.
       shard.entries.splice(shard.entries.end(), shard.entries, it->second);
     }
-    State& state = it->second->second;
-    if constexpr (std::is_void_v<std::invoke_result_t<Fn&, State&>>) {
-      fn(state);
-      publish(shard, key, state);
-    } else {
-      auto result = fn(state);
-      publish(shard, key, state);
-      return result;
-    }
+    return fn(it->second->second);
   }
 
   /// modify_if_present body shared by the one-shot and LockedShard entry
@@ -680,9 +476,7 @@ class EstimatorStore {
     auto it = shard.index.find(key);
     if (it == shard.index.end()) return false;
     shard.entries.splice(shard.entries.end(), shard.entries, it->second);
-    State& state = it->second->second;
-    fn(state);
-    publish(shard, key, state);
+    fn(it->second->second);
     return true;
   }
 
@@ -696,18 +490,15 @@ class EstimatorStore {
     if (it != shard.index.end()) {
       it->second->second = std::move(state);
       shard.entries.splice(shard.entries.end(), shard.entries, it->second);
-      publish(shard, key, it->second->second);
       return;
     }
     if (shard.entries.size() >= per_shard_cap_) {
       const std::uint64_t evicted = shard.entries.front().first;
       shard.index.erase(evicted);
       shard.entries.pop_front();
-      unpublish(shard, evicted);
     }
     shard.entries.emplace_back(key, std::move(state));
     shard.index.emplace(key, std::prev(shard.entries.end()));
-    publish(shard, key, shard.entries.back().second);
   }
 
   Shard& shard_for(std::uint64_t key) noexcept {

@@ -55,7 +55,7 @@ Matchd::Matchd(MatchdConfig config)
       pool_ = std::make_unique<ThreadPool>(
           config_.workers, [this](std::size_t i) { worker_main(i); },
           // Spawn failure: release any already-running workers blocked
-          // on pop() so the pool's recovery join can complete.
+          // on pop_bulk() so the pool's recovery join can complete.
           [this] { queue_->close(); },
           faults ? std::function<void(std::size_t)>([faults](std::size_t) {
             if (faults->should_fail(util::FaultSite::kThreadSpawn)) {
@@ -102,15 +102,14 @@ MatchDecision Matchd::submit(const trace::JobRecord& job) {
 
 MiB Matchd::preview(const trace::JobRecord& job) const {
   if (model_) {
-    // The learned model has no seqlock fast path; previews serialize on
-    // the model mutex like every other model operation.
+    // Previews serialize on the model mutex like every other model
+    // operation.
     std::lock_guard<std::mutex> lock(model_mutex_);
     return model_->preview(job, core::SystemState{});
   }
-  const std::uint64_t key = key_fn_(job);
-  // Lock-free read: previews ride the store's seqlock table and never
-  // contend with submit/feedback writers on the shard mutex.
-  const auto state = store_.peek_fast(key);
+  // A locked read: the copy is taken under the group's shard lock, so a
+  // preview waits out any writer (or worker shard run) holding it.
+  const auto state = store_.peek(key_fn_(job));
   if (!state) return ladder_.round_up(job.requested_mem_mib);
   return state->preview(ladder_);
 }

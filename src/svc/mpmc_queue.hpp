@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,28 +51,13 @@ class BoundedMpmcQueue {
     return PushResult::kOk;
   }
 
-  /// Blocking pop: waits for an item or for close(). Returns nullopt only
-  /// when the queue is closed AND drained, so consumers process every
-  /// accepted item before exiting.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    const bool drained = items_.empty();
-    lock.unlock();
-    if (drained) maybe_drained_.notify_all();
-    return item;
-  }
-
   /// Blocking bulk pop: waits for at least one item (or close), then
   /// drains up to `max` items into `out`, preserving FIFO order. With a
   /// positive `linger`, a partially filled batch waits up to that long
   /// for more items before returning — latency traded for batch size.
   /// Returns the number of items appended to `out`; 0 only when the
-  /// queue is closed AND fully drained (the consumer-exit signal, same
-  /// contract as pop()).
+  /// queue is closed AND fully drained (the consumer-exit signal), so
+  /// consumers process every accepted item before exiting.
   std::size_t pop_bulk(std::vector<T>& out, std::size_t max,
                        std::chrono::microseconds linger =
                            std::chrono::microseconds{0}) {
@@ -118,7 +102,7 @@ class BoundedMpmcQueue {
   }
 
   /// Block until every queued item has been popped. Close() does NOT cut
-  /// this short: accepted items still drain after close (the pop()
+  /// this short: accepted items still drain after close (the pop_bulk()
   /// contract), so "closed" and "empty" are independent conditions and
   /// only the latter releases the waiter. Note: "popped" not
   /// "processed" — callers needing full completion barriers should count

@@ -4,6 +4,7 @@
 // service and the offline simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <deque>
@@ -155,6 +156,23 @@ TEST(EstimatorStore, RejectsForeignAndCorruptSnapshots) {
         "42,1.0,2.0\n");
     EXPECT_FALSE(store.load(in).has_value());
   }
+  // Every cell must parse in full. Each of these rows once restored a
+  // group: the number before the junk was kept, and "-1" wrapped to
+  // 2^64 - 1. A trailing comma is an empty last cell.
+  const std::string header =
+      "resmatch-estimator-store,1,successive-approximation\n";
+  for (const char* row :
+       {"7,16x,32,2,0,0", "7,16,32,2,0,0garbage", "7junk,16,32,2,0,0",
+        "-1,16,32,2,0,0", "7,16,32,2,0,0,", "model,1.5,2x"}) {
+    std::istringstream in(header + row + "\n");
+    EXPECT_FALSE(store.load(in).has_value()) << row;
+  }
+  EXPECT_EQ(store.size(), 0u);
+  // The well-formed row restores.
+  std::istringstream in(header + "7,16,32,2,0,0\n");
+  EXPECT_EQ(store.load(in).value(), 1u);
+  ASSERT_TRUE(store.peek(7).has_value());
+  EXPECT_EQ(store.peek(7)->estimate, 16.0);
 }
 
 TEST(EstimatorStore, RejectsTruncatedSnapshots) {
@@ -262,10 +280,13 @@ TEST(MpmcQueue, RejectsWhenFullAndAfterClose) {
   queue.close();
   EXPECT_EQ(queue.try_push(4), PushResult::kClosed);
 
-  // Accepted items still drain after close, in order.
-  EXPECT_EQ(queue.pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.pop(), std::nullopt);
+  // Accepted items still drain after close, in order; 0 means closed and
+  // drained.
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_bulk(out, 1), 1u);
+  EXPECT_EQ(queue.pop_bulk(out, 1), 1u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  EXPECT_EQ(queue.pop_bulk(out, 1), 0u);
 }
 
 TEST(Matchd, BackpressureRejectsWithReason) {
@@ -360,6 +381,31 @@ TEST(Matchd, MultithreadedHammerKeepsInvariants) {
   constexpr std::size_t kOpsPerThread = 5000;
   constexpr std::size_t kGroups = 37;
 
+  // A reader previews the hammered groups while the writers run. Every
+  // answer must be a rung of the ladder, never above the rounded request.
+  const core::CapacityLadder ladder = test_ladder();
+  const std::vector<MiB>& rungs = ladder.rungs();
+  const MiB rounded_request = ladder.round_up(32.0);
+  std::atomic<bool> writers_done{false};
+  std::atomic<std::uint64_t> previews{0};
+  std::atomic<std::uint64_t> bad_previews{0};
+  std::thread reader([&] {
+    for (std::uint64_t n = 0;
+         !writers_done.load(std::memory_order_relaxed); ++n) {
+      const trace::JobRecord job =
+          make_job(32.0, 4.0, static_cast<UserId>(n % kGroups),
+                   static_cast<AppId>(n % 5));
+      const MiB p = service.preview(job);
+      if (std::find(rungs.begin(), rungs.end(), p) == rungs.end() ||
+          p > rounded_request) {
+        bad_previews.fetch_add(1, std::memory_order_relaxed);
+      }
+      previews.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Start the writers only once the reader is running, so the two overlap.
+  while (previews.load() == 0) std::this_thread::yield();
+
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kThreads; ++t) {
     clients.emplace_back([&service, t] {
@@ -378,6 +424,9 @@ TEST(Matchd, MultithreadedHammerKeepsInvariants) {
     });
   }
   for (auto& c : clients) c.join();
+  writers_done.store(true);
+  reader.join();
+  EXPECT_EQ(bad_previews.load(), 0u);
 
   const MatchdStats stats = service.stats();
   EXPECT_EQ(stats.submissions, kThreads * kOpsPerThread);
@@ -736,7 +785,8 @@ TEST(MpmcQueue, WaitEmptyWaitsForDrainEvenAfterClose) {
 
   std::thread consumer([&queue] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    while (queue.pop().has_value()) {
+    std::vector<int> out;
+    while (queue.pop_bulk(out, 1) != 0) {
     }
   });
   const auto start = std::chrono::steady_clock::now();
@@ -751,45 +801,12 @@ TEST(MpmcQueue, WaitEmptyWaitsForDrainEvenAfterClose) {
       << "wait_empty returned before the consumer drained the queue";
 }
 
-TEST(EstimatorStore, PeekFastMatchesPeekAcrossGrowthAndEviction) {
-  StoreConfig config;
-  config.shards = 1;  // every key in one stripe: growth + eviction visible
-  config.max_groups = 128;
-  EstimatorStore<core::SaGroupState> store(config);
-
-  // 200 inserts into 128 capacity: the read table grows past its initial
-  // 64 slots AND the first 72 keys get evicted.
-  for (std::uint64_t key = 1; key <= 200; ++key) {
-    store.with_group(
-        key,
-        [key] {
-          return core::SaGroupState::fresh(static_cast<double>(key), 2.0);
-        },
-        [](core::SaGroupState&) { return 0; });
-  }
-  for (std::uint64_t key = 1; key <= 200; ++key) {
-    const auto slow = store.peek(key);
-    const auto fast = store.peek_fast(key);
-    ASSERT_EQ(slow.has_value(), fast.has_value()) << "key " << key;
-    if (slow) {
-      EXPECT_EQ(slow->to_fields(), fast->to_fields()) << "key " << key;
-    }
-  }
-
-  // Mutations publish: the fast path must see post-write state.
-  ASSERT_TRUE(store.modify_if_present(
-      200, [](core::SaGroupState& s) { s.estimate = 7.5; }));
-  const auto after = store.peek_fast(200);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->estimate, 7.5);
-}
-
-TEST(EstimatorStore, PeekFastSeqlockHammer) {
+TEST(EstimatorStore, PeekHammerNeverSeesTornState) {
   // Torn-read detector (run under the TSan CI job too): writers keep the
   // pair (estimate, last_good = 2 * estimate) in lockstep under the shard
-  // lock; lock-free readers must never observe the pair out of sync. A
-  // churn thread concurrently grows the read table so readers also race
-  // table swaps.
+  // lock; peek() readers must never observe the pair out of sync. A churn
+  // thread concurrently inserts groups into the same stripe, so readers
+  // also race index growth.
   StoreConfig config;
   config.shards = 1;
   config.max_groups = 4096;
@@ -808,7 +825,7 @@ TEST(EstimatorStore, PeekFastSeqlockHammer) {
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&store, &stop, &torn] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto s = store.peek_fast(kKey);
+        const auto s = store.peek(kKey);
         if (s && s->last_good != 2.0 * s->estimate) torn.fetch_add(1);
       }
     });
@@ -839,7 +856,7 @@ TEST(EstimatorStore, PeekFastSeqlockHammer) {
   for (auto& r : readers) r.join();
 
   EXPECT_EQ(torn.load(), 0u);
-  const auto final_state = store.peek_fast(kKey);
+  const auto final_state = store.peek(kKey);
   ASSERT_TRUE(final_state.has_value());
   EXPECT_EQ(final_state->estimate, 1.0 + 2 * 20000);
 }
