@@ -156,9 +156,10 @@ TEST(EstimatorStore, RejectsForeignAndCorruptSnapshots) {
         "42,1.0,2.0\n");
     EXPECT_FALSE(store.load(in).has_value());
   }
-  // Every cell must parse in full. Each of these rows once restored a
-  // group: the number before the junk was kept, and "-1" wrapped to
-  // 2^64 - 1. A trailing comma is an empty last cell.
+  // Every cell must parse in full: a number with junk after it, a
+  // negative key (an unsigned parse that skips the check wraps it to
+  // 2^64 - 1) and an empty last cell after a trailing comma all make the
+  // row corrupt, model row included.
   const std::string header =
       "resmatch-estimator-store,1,successive-approximation\n";
   for (const char* row :
