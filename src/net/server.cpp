@@ -188,6 +188,10 @@ void Server::loop() {
     for (int i = 0; i < n; ++i) {
       const std::uint64_t slot = events[i].data.u64;
       if (slot == kWakeSlot) {
+        // Read the eventfd before flush_completions() swaps the list: a
+        // completion pushed after the swap finds the list empty and wakes
+        // the loop again, so none is stranded. (Swapping first would let
+        // this read swallow the wake of a push that landed in between.)
         std::uint64_t drained = 0;
         (void)!::read(wake_fd_, &drained, sizeof(drained));
         flush_completions();
@@ -474,25 +478,36 @@ void Server::serve_match(Conn& conn, std::uint64_t request_id,
 
 void Server::post_completion(std::uint64_t serial,
                              std::vector<char>&& bytes) {
+  bool was_empty = false;
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
+    was_empty = completions_.empty();
     completions_.push_back(Completion{serial, std::move(bytes)});
   }
-  const std::uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
+  // One wake per burst: only the push that makes the list non-empty
+  // signals; later pushes ride along until the loop swaps the list out.
+  if (was_empty) {
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd_, &one, sizeof(one));
+  }
 }
 
 void Server::flush_completions() {
-  std::vector<Completion> batch;
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
-    batch.swap(completions_);
+    flushing_.swap(completions_);
   }
-  for (Completion& c : batch) {
+  // Append every response to its connection's buffer in list order, then
+  // write each touched connection once.
+  for (Completion& c : flushing_) {
     const auto it = conns_.find(c.serial);
     if (it == conns_.end()) continue;  // connection died while in flight
     Conn& conn = *it->second;
     conn.out.insert(conn.out.end(), c.bytes.begin(), c.bytes.end());
+    if (!conn.write_listed) {
+      conn.write_listed = true;
+      to_write_.push_back(c.serial);
+    }
     if (conn.in_flight > 0) --conn.in_flight;
     if (conn.paused && conn.in_flight < config_.max_pipeline) {
       conn.paused = false;
@@ -500,10 +515,16 @@ void Server::flush_completions() {
       // Frames that arrived while paused are already buffered in the
       // decoder; serve them now that there is pipeline room again.
       drain_decoder(conn);
-      if (conns_.count(c.serial) == 0) continue;
     }
-    try_write(conn);
   }
+  flushing_.clear();
+  for (const std::uint64_t serial : to_write_) {
+    const auto it = conns_.find(serial);
+    if (it == conns_.end()) continue;  // closed by drain_decoder above
+    it->second->write_listed = false;
+    try_write(*it->second);
+  }
+  to_write_.clear();
 }
 
 void Server::handle_writable(Conn& conn) {

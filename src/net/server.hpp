@@ -11,10 +11,13 @@
 //     socket (kernel backpressure) until responses drain;
 //   * admission-queue backpressure: when the matchd runs workers, request
 //     processing goes through its bounded admission queue; a full queue is
-//     answered with ErrorCode::kBackpressure instead of queueing unboundedly
-//     (workers call back into the loop through an eventfd-signaled
-//     completion list). Without workers, requests are served inline —
-//     matchd's synchronous API is thread-safe and fast;
+//     answered with ErrorCode::kBackpressure instead of queueing unboundedly.
+//     Workers encode each response and hand it back to the loop through a
+//     completion list. Only the push that finds the list empty writes the
+//     eventfd, so the loop is woken once per burst; a flush appends every
+//     response to its connection's buffer in list order, then writes each
+//     connection it touched once. Without workers, requests are served
+//     inline — matchd's synchronous API is thread-safe and fast;
 //   * idle reaping: connections silent past idle_timeout are closed;
 //   * a protocol error (bad magic, corrupt frame, malformed body) closes
 //     the connection — nothing after a broken frame can be trusted.
@@ -127,12 +130,12 @@ class Server {
     std::size_t in_flight = 0;     ///< async requests awaiting completion
     bool want_write = false;       ///< EPOLLOUT armed
     bool paused = false;           ///< EPOLLIN dropped (pipeline cap)
-    bool closing = false;          ///< close once in_flight drains
+    bool write_listed = false;     ///< in to_write_ for the current flush
     std::chrono::steady_clock::time_point last_active;
   };
 
-  /// A response produced on a matchd worker thread, routed back to the
-  /// loop through the eventfd.
+  /// A response encoded on a matchd worker thread, handed back to the
+  /// loop through the completion list.
   struct Completion {
     std::uint64_t serial = 0;
     std::vector<char> bytes;
@@ -179,6 +182,11 @@ class Server {
 
   std::mutex completions_mutex_;
   std::vector<Completion> completions_;
+  /// Loop-thread side of the completion hand-off: flush_completions()
+  /// swaps completions_ into flushing_, and both keep their capacity.
+  std::vector<Completion> flushing_;
+  /// Serials of the connections a flush appended to, each listed once.
+  std::vector<std::uint64_t> to_write_;
 
   std::atomic<bool> stopping_{false};
   std::thread thread_;

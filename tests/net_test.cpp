@@ -7,11 +7,15 @@
 // in-process mini-cluster asserting byte-identical decisions against a
 // single-process matchd — the small sibling of examples/cluster_replay.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -89,17 +93,23 @@ svc::MatchdConfig sync_config() {
   return config;
 }
 
+/// The outcome of running `job` under a `granted` capacity: it succeeds
+/// iff its usage fits.
+core::Feedback outcome_for(const trace::JobRecord& job, MiB granted) {
+  core::Feedback fb;
+  fb.granted_mib = granted;
+  fb.success = job.used_mem_mib <= granted;
+  fb.used_mib = job.used_mem_mib;
+  fb.resource_failure = !fb.success;
+  return fb;
+}
+
 /// Drive one job through any object exposing submit()/feedback() matchd
 /// verbs; returns the granted capacity (serve_replay's per-job protocol).
 template <typename Service>
 MiB drive_job(Service& service, const trace::JobRecord& job) {
   const svc::MatchDecision decision = service.submit(job);
-  core::Feedback fb;
-  fb.granted_mib = decision.granted_mib;
-  fb.success = job.used_mem_mib <= decision.granted_mib;
-  fb.used_mib = job.used_mem_mib;
-  fb.resource_failure = !fb.success;
-  service.feedback(job, fb);
+  service.feedback(job, outcome_for(job, decision.granted_mib));
   return decision.granted_mib;
 }
 
@@ -746,8 +756,8 @@ TEST(Server, FullAdmissionQueueAnswersBackpressure) {
   fs::remove_all(dir);
 }
 
-/// Bare-socket helper: connect to a UDS path and write raw bytes.
-int raw_uds_send(const std::string& path, const std::vector<char>& bytes) {
+/// Bare-socket helper: a blocking socket connected to a UDS path, or -1.
+int raw_uds_connect(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   sockaddr_un addr{};
@@ -757,6 +767,13 @@ int raw_uds_send(const std::string& path, const std::vector<char>& bytes) {
     ::close(fd);
     return -1;
   }
+  return fd;
+}
+
+/// Bare-socket helper: connect to a UDS path and write raw bytes.
+int raw_uds_send(const std::string& path, const std::vector<char>& bytes) {
+  const int fd = raw_uds_connect(path);
+  if (fd < 0) return -1;
   std::size_t off = 0;
   while (off < bytes.size()) {
     const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
@@ -804,6 +821,246 @@ TEST(Server, GarbageBytesCloseTheConnection) {
   ASSERT_TRUE(healthy.stats().has_value());
   server.stop();
   fs::remove_all(dir);
+}
+
+/// Bare-socket pipelining client: queue() appends request frames (ids 1,
+/// 2, ...), and pump() writes them without waiting for answers while it
+/// decodes responses, checking each id is answered exactly once with the
+/// response type its request kind calls for.
+class PipelinedConn {
+ public:
+  explicit PipelinedConn(const std::string& path)
+      : fd_(raw_uds_connect(path)) {
+    if (fd_ >= 0) (void)::fcntl(fd_, F_SETFL, O_NONBLOCK);
+    net::encode_magic(out_);
+  }
+  ~PipelinedConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  PipelinedConn(const PipelinedConn&) = delete;
+  PipelinedConn& operator=(const PipelinedConn&) = delete;
+
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+  [[nodiscard]] bool done() const noexcept {
+    return answered_ == expect_.size();
+  }
+  [[nodiscard]] std::size_t answered() const noexcept { return answered_; }
+  [[nodiscard]] std::size_t requests() const noexcept {
+    return expect_.size();
+  }
+
+  template <typename Req>
+  void queue(const Req& req, net::MsgType answer) {
+    expect_.push_back(answer);
+    seen_.push_back(false);
+    grants_.push_back(0.0);
+    net::encode(out_, expect_.size(), req);
+  }
+
+  /// EstimateResp grants in request-id order.
+  [[nodiscard]] std::vector<MiB> grants() const {
+    std::vector<MiB> out;
+    for (std::size_t i = 0; i < expect_.size(); ++i) {
+      if (expect_[i] == net::MsgType::kEstimateResp) {
+        out.push_back(grants_[i]);
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] short events() const noexcept {
+    return static_cast<short>(POLLIN | (sent_ < out_.size() ? POLLOUT : 0));
+  }
+
+  /// Write what the socket takes, then read and check every response.
+  [[nodiscard]] testing::AssertionResult on_ready(short revents) {
+    while ((revents & POLLOUT) != 0 && sent_ < out_.size()) {
+      const ssize_t n = ::send(fd_, out_.data() + sent_, out_.size() - sent_,
+                               MSG_NOSIGNAL);
+      if (n > 0) {
+        sent_ += static_cast<std::size_t>(n);
+      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        break;
+      } else if (!(n < 0 && errno == EINTR)) {
+        return testing::AssertionFailure()
+               << "send: " << std::strerror(errno);
+      }
+    }
+    if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+      return testing::AssertionSuccess();
+    }
+    char buf[16 * 1024];
+    for (;;) {
+      const ssize_t n = ::read(fd_, buf, sizeof(buf));
+      if (n > 0) {
+        in_.feed(buf, static_cast<std::size_t>(n));
+      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        break;
+      } else if (!(n < 0 && errno == EINTR)) {
+        return testing::AssertionFailure()
+               << "server closed the connection after " << answered_
+               << " answers";
+      }
+    }
+    for (;;) {
+      auto msg = in_.next();
+      if (!msg) {
+        return testing::AssertionFailure()
+               << "corrupt response stream: " << msg.error();
+      }
+      if (!msg.value().has_value()) return testing::AssertionSuccess();
+      const net::Envelope& env = *msg.value();
+      const std::uint64_t id = env.request_id;
+      if (id == 0 || id > expect_.size()) {
+        return testing::AssertionFailure() << "answer to unknown id " << id;
+      }
+      if (seen_[id - 1]) {
+        return testing::AssertionFailure()
+               << "id " << id << " answered twice";
+      }
+      if (env.type != expect_[id - 1]) {
+        return testing::AssertionFailure()
+               << "id " << id << " answered with type "
+               << static_cast<int>(env.type) << ", expected "
+               << static_cast<int>(expect_[id - 1]);
+      }
+      seen_[id - 1] = true;
+      ++answered_;
+      if (env.type == net::MsgType::kEstimateResp) {
+        grants_[id - 1] = std::get<net::EstimateResp>(env.body).granted_mib;
+      }
+    }
+  }
+
+ private:
+  int fd_;
+  std::vector<char> out_;  ///< client magic, then every queued frame
+  std::size_t sent_ = 0;
+  net::Decoder in_;  ///< expects the server's magic first
+  std::vector<net::MsgType> expect_;  ///< answer type, by request id - 1
+  std::vector<bool> seen_;
+  std::vector<MiB> grants_;
+  std::size_t answered_ = 0;
+};
+
+/// Poll every connection until all its queued requests are answered.
+/// Fails at `deadline` (or on the first bad answer) instead of hanging.
+testing::AssertionResult pump(
+    const std::vector<std::unique_ptr<PipelinedConn>>& conns,
+    std::chrono::steady_clock::time_point deadline) {
+  std::vector<pollfd> fds(conns.size());
+  for (;;) {
+    bool all_done = true;
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      fds[i] = pollfd{conns[i]->fd(), conns[i]->events(), 0};
+      all_done = all_done && conns[i]->done();
+    }
+    if (all_done) return testing::AssertionSuccess();
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      auto failure = testing::AssertionFailure()
+                     << "deadline passed; answered per connection:";
+      for (const auto& conn : conns) {
+        failure << " " << conn->answered() << "/" << conn->requests();
+      }
+      return failure;
+    }
+    const int n =
+        ::poll(fds.data(), fds.size(), static_cast<int>(left.count()));
+    if (n < 0 && errno != EINTR) {
+      return testing::AssertionFailure() << "poll: " << std::strerror(errno);
+    }
+    for (std::size_t i = 0; n > 0 && i < conns.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      auto ok = conns[i]->on_ready(fds[i].revents);
+      if (!ok) return ok;
+    }
+  }
+}
+
+TEST(Server, PipelinedAsyncCompletionsAnswerEveryRequestOnce) {
+  // Deep pipelines on several connections make the workers finish
+  // responses in bursts, so one flush carries many completions for many
+  // connections, and connections paused at the pipeline cap resume from
+  // inside the flush. Each connection's jobs use users no other connection
+  // uses, so its groups evolve by its own requests alone: with one worker
+  // its grants equal a local synchronous matchd fed the same sequence.
+  // The feedback in the stream makes later grants depend on earlier ones,
+  // so a reordering would show.
+  constexpr std::size_t kJobs = 1000;  // estimate + preview + feedback each
+  struct Run {
+    std::size_t workers;
+    std::size_t conns;
+  };
+  for (const Run run : {Run{1, 1}, Run{1, 4}, Run{2, 4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(run.workers) +
+                 " connections=" + std::to_string(run.conns));
+    const fs::path dir = fresh_dir("pipelined");
+    svc::MatchdConfig remote_cfg = sync_config();
+    remote_cfg.workers = run.workers;
+    remote_cfg.batch_max = 64;
+    svc::Matchd remote(remote_cfg);
+    remote.set_ladder(test_ladder());
+    net::ServerConfig config;
+    config.uds_path = (dir / "matchd.sock").string();
+    config.max_pipeline = 8;
+    net::Server server(remote, config);
+    ASSERT_TRUE(server.start());
+
+    std::vector<std::unique_ptr<PipelinedConn>> conns;
+    std::vector<trace::JobRecord> tails;
+    std::vector<std::vector<MiB>> expected(run.conns);
+    for (std::size_t c = 0; c < run.conns; ++c) {
+      conns.push_back(std::make_unique<PipelinedConn>(config.uds_path));
+      ASSERT_GE(conns.back()->fd(), 0);
+      std::vector<trace::JobRecord> jobs = small_workload(kJobs + 1);
+      for (auto& job : jobs) {
+        job.user += static_cast<std::uint32_t>(100 * c);
+        job.id += 1'000'000 * c;
+      }
+      svc::Matchd local(sync_config());
+      local.set_ladder(test_ladder());
+      for (std::size_t i = 0; i < kJobs; ++i) {
+        const MiB granted = drive_job(local, jobs[i]);
+        expected[c].push_back(granted);
+        conns[c]->queue(net::EstimateReq{jobs[i]},
+                        net::MsgType::kEstimateResp);
+        conns[c]->queue(net::PreviewReq{jobs[i]},
+                        net::MsgType::kPreviewResp);
+        conns[c]->queue(
+            net::FeedbackReq{jobs[i], outcome_for(jobs[i], granted)},
+            net::MsgType::kAck);
+      }
+      tails.push_back(jobs.back());
+      expected[c].push_back(local.submit(jobs.back()).granted_mib);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    ASSERT_TRUE(pump(conns, deadline));
+
+    // A burst of one: every earlier answer has arrived, so this lone
+    // estimate's completion finds the list empty and must still wake the
+    // loop on its own.
+    for (std::size_t c = 0; c < run.conns; ++c) {
+      conns[c]->queue(net::EstimateReq{tails[c]},
+                      net::MsgType::kEstimateResp);
+      ASSERT_TRUE(pump(conns, deadline));
+    }
+
+    if (run.workers == 1) {
+      for (std::size_t c = 0; c < run.conns; ++c) {
+        EXPECT_EQ(conns[c]->grants(), expected[c]) << "connection " << c;
+      }
+    }
+    conns.clear();
+    server.stop();
+    const net::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.protocol_errors, 0u);
+    EXPECT_EQ(stats.backpressure_rejects, 0u);
+    EXPECT_EQ(stats.requests, run.conns * (3 * kJobs + 1));
+    fs::remove_all(dir);
+  }
 }
 
 TEST(Server, IdleConnectionsAreReaped) {
