@@ -109,34 +109,43 @@ trace::JobRecord VectorEstimator::shim(const trace::JobRecord& job,
 
 ResourceVector VectorEstimator::preview(const trace::JobRecord& job,
                                         const ResourceVector& requested,
+                                        std::span<GroupHandle> groups,
                                         const SystemState& state) const {
+  assert(groups.size() >= config_.dims);
   ResourceVector out;
-  out[0] = dims_est_[0]->preview(job, state);
+  out[0] = dims_est_[0]->preview_with(job, groups[0], state);
   for (std::size_t d = 1; d < config_.dims; ++d) {
-    out[d] = dims_est_[d]->preview(shim(job, requested, d), state);
+    out[d] =
+        dims_est_[d]->preview_with(shim(job, requested, d), groups[d], state);
   }
   return out;
 }
 
 ResourceVector VectorEstimator::estimate(const trace::JobRecord& job,
                                          const ResourceVector& requested,
+                                         std::span<GroupHandle> groups,
                                          const SystemState& state) {
+  assert(groups.size() >= config_.dims);
   ResourceVector out;
-  out[0] = dims_est_[0]->estimate(job, state);
+  out[0] = dims_est_[0]->estimate_with(job, groups[0], state);
   for (std::size_t d = 1; d < config_.dims; ++d) {
-    out[d] = dims_est_[d]->estimate(shim(job, requested, d), state);
+    out[d] =
+        dims_est_[d]->estimate_with(shim(job, requested, d), groups[d], state);
   }
   return out;
 }
 
 std::optional<std::uint64_t> VectorEstimator::preview_epoch(
-    const trace::JobRecord& job, const ResourceVector& requested) const {
-  const auto first = dims_est_[0]->preview_epoch(job);
+    const trace::JobRecord& job, const ResourceVector& requested,
+    std::span<GroupHandle> groups) const {
+  assert(groups.size() >= config_.dims);
+  const auto first = dims_est_[0]->preview_epoch_with(job, groups[0]);
   if (!first) return std::nullopt;
   if (config_.dims == 1) return first;  // transparency: scalar epoch as-is
   std::uint64_t combined = util::mix64(*first);
   for (std::size_t d = 1; d < config_.dims; ++d) {
-    const auto epoch = dims_est_[d]->preview_epoch(shim(job, requested, d));
+    const auto epoch =
+        dims_est_[d]->preview_epoch_with(shim(job, requested, d), groups[d]);
     if (!epoch) return std::nullopt;
     combined = util::mix64(combined ^ (*epoch + 0x9E3779B97F4A7C15ULL * d));
   }
@@ -145,16 +154,20 @@ std::optional<std::uint64_t> VectorEstimator::preview_epoch(
 
 void VectorEstimator::cancel(const trace::JobRecord& job,
                              const ResourceVector& requested,
+                             std::span<GroupHandle> groups,
                              const ResourceVector& granted) {
-  dims_est_[0]->cancel(job, granted[0]);
+  assert(groups.size() >= config_.dims);
+  dims_est_[0]->cancel_with(job, groups[0], granted[0]);
   for (std::size_t d = 1; d < config_.dims; ++d) {
-    dims_est_[d]->cancel(shim(job, requested, d), granted[d]);
+    dims_est_[d]->cancel_with(shim(job, requested, d), groups[d], granted[d]);
   }
 }
 
 void VectorEstimator::feedback(const trace::JobRecord& job,
                                const ResourceVector& requested,
+                               std::span<GroupHandle> groups,
                                const VectorFeedback& fb) {
+  assert(groups.size() >= config_.dims);
   for (std::size_t d = 0; d < config_.dims; ++d) {
     Feedback f;
     f.success = fb.success;
@@ -164,9 +177,9 @@ void VectorEstimator::feedback(const trace::JobRecord& job,
       f.resource_failure = fb.dim_failure[d];
     }
     if (d == 0) {
-      dims_est_[0]->feedback(job, f);
+      dims_est_[0]->feedback_with(job, groups[0], f);
     } else {
-      dims_est_[d]->feedback(shim(job, requested, d), f);
+      dims_est_[d]->feedback_with(shim(job, requested, d), groups[d], f);
     }
   }
 }

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -86,12 +87,13 @@ class MultiResourceEstimator {
 // dimension sees resource_failure = true).
 //
 // Transparency contract (pinned by tests/mr_equiv_test.cpp): with dims == 1
-// every call passes the JobRecord through UNCHANGED to the underlying
-// estimator, so a dims=1 VectorEstimator is bit-for-bit the scalar
-// estimator it wraps. Higher dimensions see a shim record whose
-// requested/used memory fields carry that dimension's coordinates. The
-// simulator relies on this: scalar runs are dims=1 runs over a
-// VectorEstimator that borrows the caller's Estimator.
+// every call passes the JobRecord and the group handle through UNCHANGED
+// to the underlying estimator's handle form, so a dims=1 VectorEstimator
+// is bit-for-bit the scalar estimator it wraps. Higher dimensions see a
+// shim record whose requested/used memory fields carry that dimension's
+// coordinates, with that dimension's handle. The simulator relies on
+// this: scalar runs are dims=1 runs over a VectorEstimator that borrows
+// the caller's Estimator.
 // ---------------------------------------------------------------------------
 
 struct VectorEstimatorConfig {
@@ -130,29 +132,37 @@ class VectorEstimator {
   /// sim::Cluster::ladder_for_dim).
   void set_ladder(std::size_t dim, CapacityLadder ladder);
 
+  // The estimation calls take the job's group handles, one per dimension
+  // (`groups.size() >= dims()`), each passed to that dimension's scalar
+  // estimator (Estimator's `*_with` forms). The caller keeps them with the
+  // job for its whole life, as GroupHandle's contract asks.
+
   /// Side-effect-free preview of the per-dimension effective request.
   [[nodiscard]] ResourceVector preview(const trace::JobRecord& job,
                                        const ResourceVector& requested,
+                                       std::span<GroupHandle> groups,
                                        const SystemState& state) const;
 
   /// Commit an estimate in every dimension; pair with feedback()/cancel().
   [[nodiscard]] ResourceVector estimate(const trace::JobRecord& job,
                                         const ResourceVector& requested,
+                                        std::span<GroupHandle> groups,
                                         const SystemState& state);
 
   /// Combined preview memo (see Estimator::preview_epoch): nullopt when
   /// any dimension declines to memoize; otherwise a hash of all
   /// per-dimension epochs, changing whenever any of them does.
   [[nodiscard]] std::optional<std::uint64_t> preview_epoch(
-      const trace::JobRecord& job, const ResourceVector& requested) const;
+      const trace::JobRecord& job, const ResourceVector& requested,
+      std::span<GroupHandle> groups) const;
 
   /// Undo the most recent estimate() when the attempt never ran.
   void cancel(const trace::JobRecord& job, const ResourceVector& requested,
-              const ResourceVector& granted);
+              std::span<GroupHandle> groups, const ResourceVector& granted);
 
   /// Route per-dimension feedback to each dimension's estimator.
   void feedback(const trace::JobRecord& job, const ResourceVector& requested,
-                const VectorFeedback& fb);
+                std::span<GroupHandle> groups, const VectorFeedback& fb);
 
   /// Direct access to one dimension's scalar estimator (tests, metrics).
   [[nodiscard]] Estimator& dimension(std::size_t d) { return *dims_est_[d]; }

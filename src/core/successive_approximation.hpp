@@ -52,6 +52,9 @@ class SuccessiveApproximationEstimator final : public Estimator {
     return "successive-approximation";
   }
 
+  // Each record form runs its handle form with a fresh handle, so every
+  // operation has one implementation.
+
   [[nodiscard]] MiB estimate(const trace::JobRecord& job,
                              const SystemState& state) override;
 
@@ -66,6 +69,27 @@ class SuccessiveApproximationEstimator final : public Estimator {
   void cancel(const trace::JobRecord& job, MiB granted) override;
 
   void feedback(const trace::JobRecord& job, const Feedback& fb) override;
+
+  // Handle forms. An unresolved handle looks the group up (find) and is
+  // filled only if the group exists; estimate and feedback create an
+  // unseen group, as their record forms do, and fill the handle with it.
+
+  [[nodiscard]] MiB estimate_with(const trace::JobRecord& job,
+                                  GroupHandle& group,
+                                  const SystemState& state) override;
+
+  [[nodiscard]] MiB preview_with(const trace::JobRecord& job,
+                                 GroupHandle& group,
+                                 const SystemState& state) const override;
+
+  [[nodiscard]] std::optional<std::uint64_t> preview_epoch_with(
+      const trace::JobRecord& job, GroupHandle& group) const override;
+
+  void cancel_with(const trace::JobRecord& job, GroupHandle& group,
+                   MiB granted) override;
+
+  void feedback_with(const trace::JobRecord& job, GroupHandle& group,
+                     const Feedback& fb) override;
 
   // --- introspection ------------------------------------------------------
 
@@ -89,11 +113,13 @@ class SuccessiveApproximationEstimator final : public Estimator {
   }
 
  private:
-  /// The job's group id, creating the group (Algorithm 1 line 4) if new.
-  GroupId group_for(const trace::JobRecord& job);
-  /// The job's group state, or nullptr when the group is unknown.
-  [[nodiscard]] const SaGroupState* find_state(
-      const trace::JobRecord& job) const;
+  /// The job's group id, creating the group (Algorithm 1 line 4) if new;
+  /// resolves `group`.
+  GroupId group_for(const trace::JobRecord& job, GroupHandle& group);
+  /// The job's group state, or nullptr when the group is unknown (which
+  /// leaves `group` unresolved).
+  [[nodiscard]] const SaGroupState* find_state(const trace::JobRecord& job,
+                                               GroupHandle& group) const;
 
   SuccessiveApproxConfig config_;
   SimilarityIndex index_;

@@ -497,7 +497,10 @@ void Server::flush_completions() {
     std::lock_guard<std::mutex> lock(completions_mutex_);
     flushing_.swap(completions_);
   }
+  if (flushing_.empty()) return;
+  completion_flushes_.fetch_add(1, std::memory_order_relaxed);
   // Append every response to its connection's buffer in list order, then
+  // resume each connection the flush took below its pipeline cap, then
   // write each touched connection once.
   for (Completion& c : flushing_) {
     const auto it = conns_.find(c.serial);
@@ -509,7 +512,19 @@ void Server::flush_completions() {
       to_write_.push_back(c.serial);
     }
     if (conn.in_flight > 0) --conn.in_flight;
+  }
+  flushing_.clear();
+  // Resume after all of a connection's completions, so one drain admits
+  // every request the flush made room for. Resuming per completion would
+  // admit one request, re-pause and repeat, at two epoll_ctl calls and a
+  // send each. Responses to the requests admitted here follow the whole
+  // flush's completions on the wire.
+  for (const std::uint64_t serial : to_write_) {
+    const auto it = conns_.find(serial);
+    if (it == conns_.end()) continue;
+    Conn& conn = *it->second;
     if (conn.paused && conn.in_flight < config_.max_pipeline) {
+      pipeline_resumes_.fetch_add(1, std::memory_order_relaxed);
       conn.paused = false;
       update_epoll(conn);
       // Frames that arrived while paused are already buffered in the
@@ -517,7 +532,6 @@ void Server::flush_completions() {
       drain_decoder(conn);
     }
   }
-  flushing_.clear();
   for (const std::uint64_t serial : to_write_) {
     const auto it = conns_.find(serial);
     if (it == conns_.end()) continue;  // closed by drain_decoder above
@@ -613,6 +627,9 @@ ServerStats Server::stats() const {
   out.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   out.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   out.connections = open_conns_.load(std::memory_order_relaxed);
+  out.completion_flushes =
+      completion_flushes_.load(std::memory_order_relaxed);
+  out.pipeline_resumes = pipeline_resumes_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -15,7 +15,8 @@
 //     Workers encode each response and hand it back to the loop through a
 //     completion list. Only the push that finds the list empty writes the
 //     eventfd, so the loop is woken once per burst; a flush appends every
-//     response to its connection's buffer in list order, then writes each
+//     response to its connection's buffer in list order, then resumes each
+//     connection it took below the in-flight cap once, then writes each
 //     connection it touched once. Without workers, requests are served
 //     inline — matchd's synchronous API is thread-safe and fast;
 //   * idle reaping: connections silent past idle_timeout are closed;
@@ -87,6 +88,11 @@ struct ServerStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   std::size_t connections = 0;  ///< currently open
+  /// Loop-thread flushes that carried at least one async completion.
+  std::uint64_t completion_flushes = 0;
+  /// Connections a flush resumed from the pipeline cap: at most one per
+  /// connection per flush.
+  std::uint64_t pipeline_resumes = 0;
 };
 
 class Server {
@@ -202,6 +208,9 @@ class Server {
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::size_t> open_conns_{0};
+  // Written by the loop thread only; not exported as metrics.
+  std::atomic<std::uint64_t> completion_flushes_{0};
+  std::atomic<std::uint64_t> pipeline_resumes_{0};
 
   obs::Histogram* latency_hist_ = nullptr;
   obs::Counter* request_counters_[9] = {};  ///< indexed by request MsgType

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -142,10 +143,20 @@ MrSimulationResult run(trace::JobStream& stream,
   // slot — opaque to policies, so decision streams are unaffected.
   // Annotated runs add the job's annotation index. A queued job's preview
   // vector lives in its queue entry.
+  //
+  // Each slot also holds the job's similarity-group handles, one 32-bit
+  // core::GroupHandle per dimension in a flat slot x dims vector. The
+  // estimator fills a handle the first time the job's group exists, so
+  // later calls for the job skip the key and the index probe. A retried
+  // job keeps its handles; a reused slot starts unresolved.
   std::vector<trace::JobRecord> job_slots;
   std::vector<std::uint32_t> job_attempts;
+  std::vector<core::GroupHandle> job_groups;
   std::vector<std::size_t> job_annotation;
   std::vector<std::size_t> free_job_slots;
+  auto groups_of = [&](std::size_t slot) {
+    return std::span<core::GroupHandle>(job_groups).subspan(slot * dims, dims);
+  };
   auto admit_job = [&](trace::JobRecord record) {
     const std::size_t annotation_index = pulled - 1;
     std::size_t slot;
@@ -154,10 +165,12 @@ MrSimulationResult run(trace::JobStream& stream,
       free_job_slots.pop_back();
       job_slots[slot] = std::move(record);
       job_attempts[slot] = 0;
+      std::ranges::fill(groups_of(slot), core::GroupHandle{});
     } else {
       slot = job_slots.size();
       job_slots.push_back(std::move(record));
       job_attempts.push_back(0);
+      job_groups.resize(job_groups.size() + dims);
       if (annotations) job_annotation.emplace_back();
     }
     if (annotations) job_annotation[slot] = annotation_index;
@@ -276,8 +289,9 @@ MrSimulationResult run(trace::JobStream& stream,
   auto refresh_preview = [&](sched::QueuedJob& q) {
     const trace::JobRecord& record = job_slots[q.trace_index];
     const ResourceVector requested = annotation(q.trace_index).requested;
-    q.preview = estimator.preview(record, requested, system_state());
-    set_memo(q, estimator.preview_epoch(record, requested));
+    const auto groups = groups_of(q.trace_index);
+    q.preview = estimator.preview(record, requested, groups, system_state());
+    set_memo(q, estimator.preview_epoch(record, requested, groups));
   };
 
   // A job the cluster can never host (even empty) would block FCFS
@@ -307,14 +321,15 @@ MrSimulationResult run(trace::JobStream& stream,
   auto start_job = [&](const sched::QueuedJob& q, Seconds now) -> bool {
     const trace::JobRecord& record = job_slots[q.trace_index];
     const trace::MrJobInfo info = annotation(q.trace_index);
+    const auto groups = groups_of(q.trace_index);
     // Commit the estimate now; the preview the policy saw may be stale.
     const ResourceVector grant =
-        estimator.estimate(record, info.requested, system_state());
+        estimator.estimate(record, info.requested, groups, system_state());
     auto allocation = cluster.allocate_vec(q.nodes, grant, dims);
     if (!allocation) {
       // The fresh estimate outgrew the preview (group escalation, RL
       // exploration) and no longer fits; undo the commitment.
-      estimator.cancel(record, info.requested, grant);
+      estimator.cancel(record, info.requested, groups, grant);
       return false;
     }
 
@@ -417,12 +432,13 @@ MrSimulationResult run(trace::JobStream& stream,
           const trace::JobRecord& record = job_slots[head.trace_index];
           const ResourceVector requested =
               annotation(head.trace_index).requested;
-          const auto epoch = estimator.preview_epoch(record, requested);
+          const auto groups = groups_of(head.trace_index);
+          const auto epoch = estimator.preview_epoch(record, requested, groups);
           if (!(epoch && *epoch == head.preview_epoch)) {
             // Stale. Nothing mutates the estimator before the new preview,
-            // so the epoch just read names it: no second probe.
+            // so the epoch just read names it: no second epoch read.
             head.preview =
-                estimator.preview(record, requested, system_state());
+                estimator.preview(record, requested, groups, system_state());
             set_memo(head, epoch);
           }
         }
@@ -560,7 +576,7 @@ MrSimulationResult run(trace::JobStream& stream,
             fb.dim_failure[run.culprit] = true;
           }
         }
-        estimator.feedback(record, info.requested, fb);
+        estimator.feedback(record, info.requested, groups_of(run.job_slot), fb);
 
         if (config.runtime_predictor && run.outcome == Outcome::kSuccess) {
           config.runtime_predictor->observe(record, record.runtime);

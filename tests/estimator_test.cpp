@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "core/ensemble_estimator.hpp"
 #include "core/factory.hpp"
+#include "core/key_search.hpp"
 #include "core/last_instance.hpp"
 #include "core/quantile_estimator.hpp"
 #include "core/regression_estimator.hpp"
@@ -805,6 +810,182 @@ TEST(PreviewEpoch, LearningEstimatorsOptOut) {
     auto est = make_estimator(name);
     est->set_ladder(CapacityLadder({8, 16, 32}));
     EXPECT_FALSE(est->preview_epoch(make_job(32.0, 5.0)).has_value());
+  }
+}
+
+// --- GroupHandle: the caller-held group forms ------------------------------
+
+TEST(GroupHandle, StartsUnresolvedAndRejectsIdsBeyond32Bits) {
+  GroupHandle h;
+  EXPECT_FALSE(h.resolved());
+  h.resolve(7);
+  EXPECT_TRUE(h.resolved());
+  EXPECT_EQ(h.id(), 7u);
+  h.resolve(kInvalidId32 - 1);  // the largest id that fits
+  EXPECT_EQ(h.id(), kInvalidId32 - 1);
+  // The all-ones id is the unresolved marker, and wider ids would be
+  // truncated: both are errors.
+  EXPECT_THROW(h.resolve(kInvalidId32), std::overflow_error);
+  EXPECT_THROW(h.resolve(GroupId{1} << 32), std::overflow_error);
+  EXPECT_EQ(h.id(), kInvalidId32 - 1);
+}
+
+TEST(GroupHandle, UnseenGroupStaysUnresolvedUntilTheFirstEstimate) {
+  SuccessiveApproximationEstimator est;
+  est.set_ladder(CapacityLadder({8, 16, 32}));
+  const auto job = make_job(20.0, 5.0);
+  GroupHandle h;
+  // Reads of an unseen group answer as the record forms do, create
+  // nothing, and leave the handle unresolved.
+  EXPECT_DOUBLE_EQ(est.preview_with(job, h, {}), 32.0);
+  EXPECT_EQ(est.preview_epoch_with(job, h), std::optional<std::uint64_t>(0));
+  est.cancel_with(job, h, 32.0);
+  EXPECT_FALSE(h.resolved());
+  EXPECT_EQ(est.group_count(), 0u);
+
+  // The first estimate creates the group and resolves the handle.
+  EXPECT_DOUBLE_EQ(est.estimate_with(job, h, {}), 32.0);
+  EXPECT_TRUE(h.resolved());
+  EXPECT_EQ(est.group_count(), 1u);
+  EXPECT_GT(*est.preview_epoch_with(job, h), 0u);
+
+  // A second job of the same group resolves on its first read.
+  GroupHandle other;
+  EXPECT_DOUBLE_EQ(est.preview_with(make_job(20.0, 9.0, 1, 1, 2), other, {}),
+                   est.preview(job, {}));
+  EXPECT_TRUE(other.resolved());
+  EXPECT_EQ(other.id(), h.id());
+  EXPECT_EQ(est.group_count(), 1u);
+}
+
+TEST(GroupHandle, HandleFormsOfSaMatchItsRecordForms) {
+  // A seeded differential: two identical SA estimators see the same random
+  // operations over 200 jobs, one through the record forms and one through
+  // the handle forms with a handle kept per job. Every return value must
+  // agree, and both must hold exactly the groups that an estimate or a
+  // feedback created: a handle may never create a group on a read. The
+  // user+app key leaves requested memory out, so there the job that
+  // creates a group also sets its first E_i (Algorithm 1 line 4).
+  struct KeyCase {
+    const char* name;
+    SimilarityKeyFn key;
+  };
+  const KeyCase keys[] = {
+      {"default", default_similarity_key},
+      {"user+app",
+       [](const trace::JobRecord& j) {
+         return key_hash(static_cast<KeyMask>(KeyAttribute::kUser) |
+                             static_cast<KeyMask>(KeyAttribute::kApp),
+                         j);
+       }},
+  };
+  constexpr std::size_t kJobs = 200;
+  constexpr int kOps = 6000;
+  for (const KeyCase& key : keys) {
+    SCOPED_TRACE(key.name);
+    SuccessiveApproximationEstimator by_record({}, key.key);
+    SuccessiveApproximationEstimator by_handle({}, key.key);
+    const CapacityLadder ladder({4, 8, 12, 16, 24, 32});
+    by_record.set_ladder(ladder);
+    by_handle.set_ladder(ladder);
+
+    util::Rng rng(29);
+    const MiB requests[] = {16.0, 24.0, 32.0};
+    std::vector<trace::JobRecord> jobs;
+    for (std::size_t j = 0; j < kJobs; ++j) {
+      const auto g = static_cast<std::uint32_t>(rng.uniform_int(0, 19));
+      const MiB req = requests[rng.uniform_int(0, 2)];
+      jobs.push_back(
+          make_job(req, rng.uniform(1.0, req), g / 4 + 1, g % 4 + 1, j + 1));
+    }
+    std::vector<GroupHandle> handles(kJobs);
+    std::vector<MiB> last_grant(kJobs, 0.0);
+    std::unordered_set<std::uint64_t> created;  // keys estimate/feedback saw
+
+    for (int op = 0; op < kOps; ++op) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kJobs) - 1));
+      const trace::JobRecord& job = jobs[j];
+      GroupHandle& h = handles[j];
+      const auto kind = rng.uniform_int(0, 4);
+      SCOPED_TRACE("op " + std::to_string(op) + " kind " +
+                   std::to_string(kind) + " job " + std::to_string(j));
+      switch (kind) {
+        case 0:
+          ASSERT_EQ(by_record.preview(job, {}), by_handle.preview_with(job, h, {}));
+          break;
+        case 1:
+          ASSERT_EQ(by_record.preview_epoch(job),
+                    by_handle.preview_epoch_with(job, h));
+          break;
+        case 2: {
+          const MiB grant = by_record.estimate(job, {});
+          ASSERT_EQ(grant, by_handle.estimate_with(job, h, {}));
+          last_grant[j] = grant;
+          created.insert(key.key(job));
+          break;
+        }
+        case 3:
+          by_record.cancel(job, last_grant[j]);
+          by_handle.cancel_with(job, h, last_grant[j]);
+          break;
+        default: {
+          Feedback fb;
+          fb.granted_mib = last_grant[j] > 0.0 ? last_grant[j]
+                                               : job.requested_mem_mib;
+          fb.success = fb.granted_mib + 1e-9 >= job.used_mem_mib;
+          if (rng.bernoulli(0.5)) {
+            fb.used_mib = job.used_mem_mib;
+            fb.resource_failure = !fb.success;
+          }
+          by_record.feedback(job, fb);
+          by_handle.feedback_with(job, h, fb);
+          created.insert(key.key(job));
+          break;
+        }
+      }
+      ASSERT_EQ(by_record.group_count(), created.size());
+      ASSERT_EQ(by_handle.group_count(), created.size());
+      ASSERT_EQ(by_record.group_estimate(job), by_handle.group_estimate(job));
+      ASSERT_EQ(h.resolved(), created.count(key.key(job)) > 0);
+    }
+    EXPECT_EQ(by_record.total_successes(), by_handle.total_successes());
+    EXPECT_EQ(by_record.total_failures(), by_handle.total_failures());
+  }
+}
+
+TEST(GroupHandle, DefaultFormsMatchTheRecordForms) {
+  // Estimators that keep the base-class defaults (a group-less one, and one
+  // with groups but no handle support) answer the same through both forms
+  // and never touch the handle.
+  for (const char* name : {"none", "last-instance"}) {
+    SCOPED_TRACE(name);
+    auto by_record = make_estimator(name);
+    auto by_handle = make_estimator(name);
+    by_record->set_ladder(CapacityLadder({8, 16, 32}));
+    by_handle->set_ladder(CapacityLadder({8, 16, 32}));
+    const auto job = make_job(32.0, 7.0);
+    GroupHandle h;
+    for (int round = 0; round < 6; ++round) {
+      EXPECT_EQ(by_record->preview(job, {}), by_handle->preview_with(job, h, {}));
+      EXPECT_EQ(by_record->preview_epoch(job),
+                by_handle->preview_epoch_with(job, h));
+      const MiB grant = by_record->estimate(job, {});
+      ASSERT_EQ(grant, by_handle->estimate_with(job, h, {}));
+      if (round == 3) {
+        by_record->cancel(job, grant);
+        by_handle->cancel_with(job, h, grant);
+        continue;
+      }
+      Feedback fb;
+      fb.granted_mib = grant;
+      fb.success = grant >= job.used_mem_mib;
+      fb.used_mib = job.used_mem_mib;
+      fb.resource_failure = !fb.success;
+      by_record->feedback(job, fb);
+      by_handle->feedback_with(job, h, fb);
+    }
+    EXPECT_FALSE(h.resolved());
   }
 }
 

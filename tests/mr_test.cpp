@@ -3,9 +3,12 @@
 // and per-dimension routing, and the scenario_from mirror invariant.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/estimator.hpp"
 #include "core/factory.hpp"
@@ -230,13 +233,18 @@ TEST(VectorEstimator, DimsOneIsTransparentOverTheScalarEstimator) {
   trace::JobRecord job = sample_job();
   const ResourceVector requested(job.requested_mem_mib);
   const core::SystemState state;
+  // The vector side keeps the job's handle; the scalar side takes the
+  // record forms, which look the group up on every call.
+  std::array<core::GroupHandle, 1> groups{};
   for (int round = 0; round < 6; ++round) {
-    EXPECT_EQ(vec.preview(job, requested, state)[kDimMem],
+    EXPECT_EQ(vec.preview(job, requested, groups, state)[kDimMem],
               scalar->preview(job, state));
-    EXPECT_EQ(vec.preview_epoch(job, requested), scalar->preview_epoch(job));
-    const ResourceVector vgrant = vec.estimate(job, requested, state);
+    EXPECT_EQ(vec.preview_epoch(job, requested, groups),
+              scalar->preview_epoch(job));
+    const ResourceVector vgrant = vec.estimate(job, requested, groups, state);
     const MiB sgrant = scalar->estimate(job, state);
     ASSERT_EQ(vgrant[kDimMem], sgrant) << "round " << round;
+    EXPECT_TRUE(groups[0].resolved());
 
     core::VectorFeedback vfb;
     vfb.granted = vgrant;
@@ -244,7 +252,7 @@ TEST(VectorEstimator, DimsOneIsTransparentOverTheScalarEstimator) {
     vfb.success = vgrant[kDimMem] + 1e-9 >= job.used_mem_mib;
     vfb.used = ResourceVector(job.used_mem_mib);
     vfb.dim_failure[kDimMem] = !vfb.success;
-    vec.feedback(job, requested, vfb);
+    vec.feedback(job, requested, groups, vfb);
 
     core::Feedback sfb;
     sfb.granted_mib = sgrant;
@@ -280,8 +288,9 @@ TEST(VectorEstimator, RoutesEachDimensionToItsOwnScalarReference) {
 
   const core::SystemState state;
   const ResourceVector used(10.0, 3.0);
+  std::array<core::GroupHandle, 2> groups{};
   for (int round = 0; round < 4; ++round) {
-    const ResourceVector grant = vec.estimate(job, requested, state);
+    const ResourceVector grant = vec.estimate(job, requested, groups, state);
     EXPECT_EQ(grant[kDimMem], ref_mem->estimate(job, state));
     EXPECT_EQ(grant[kDimCpu], ref_cpu->estimate(cpu_job, state));
 
@@ -290,7 +299,7 @@ TEST(VectorEstimator, RoutesEachDimensionToItsOwnScalarReference) {
     vfb.granted = grant;
     vfb.explicit_feedback = true;
     vfb.used = used;
-    vec.feedback(job, requested, vfb);
+    vec.feedback(job, requested, groups, vfb);
     core::Feedback mem_fb{true, grant[kDimMem], used[kDimMem], false};
     ref_mem->feedback(job, mem_fb);
     core::Feedback cpu_fb{true, grant[kDimCpu], used[kDimCpu], false};
@@ -304,7 +313,8 @@ TEST(VectorEstimator, PreviewEpochCombinesAcrossDims) {
   cfg.estimator = "none";
   const core::VectorEstimator vec(cfg);
   const trace::JobRecord job = sample_job();
-  EXPECT_TRUE(vec.preview_epoch(job, ResourceVector(32.0, 4.0, 1.0))
+  std::array<core::GroupHandle, 3> groups{};
+  EXPECT_TRUE(vec.preview_epoch(job, ResourceVector(32.0, 4.0, 1.0), groups)
                   .has_value());
 
   // An estimator that declines to memoize in any dimension poisons the
@@ -313,8 +323,74 @@ TEST(VectorEstimator, PreviewEpochCombinesAcrossDims) {
   ridge.dims = 3;
   ridge.estimator = "regression-ridge";
   const core::VectorEstimator no_memo(ridge);
-  EXPECT_FALSE(no_memo.preview_epoch(job, ResourceVector(32.0, 4.0, 1.0))
-                   .has_value());
+  EXPECT_FALSE(
+      no_memo.preview_epoch(job, ResourceVector(32.0, 4.0, 1.0), groups)
+          .has_value());
+}
+
+TEST(VectorEstimator, KeptHandlesMatchFreshHandlesAtThreeDims) {
+  // Two dims=3 SA estimators over the same call sequence: one keeps each
+  // job's three handles, the other passes fresh (unresolved) handles to
+  // every call, which is the record-form lookup. Dimensions 1 and 2 see
+  // the shim record, so this covers the handle on the shimmed path too.
+  const sim::Cluster cluster(vector_spec());
+  core::VectorEstimatorConfig cfg;
+  cfg.dims = 3;
+  cfg.estimator = "successive-approximation";
+  core::VectorEstimator kept(cfg);
+  core::VectorEstimator fresh(cfg);
+  for (std::size_t d = 0; d < 3; ++d) {
+    kept.set_ladder(d, cluster.ladder_for_dim(d));
+    fresh.set_ladder(d, cluster.ladder_for_dim(d));
+  }
+
+  // Three jobs, two of which share every dimension's group.
+  std::vector<trace::JobRecord> jobs(3, sample_job());
+  jobs[2].user = 4;
+  const std::vector<ResourceVector> requested = {
+      ResourceVector(32.0, 8.0, 2.0), ResourceVector(32.0, 8.0, 2.0),
+      ResourceVector(24.0, 4.0, 1.0)};
+  const ResourceVector used(9.0, 3.0, 1.0);
+  std::vector<std::array<core::GroupHandle, 3>> handles(jobs.size());
+  std::array<core::GroupHandle, 3> scratch{};
+  auto unresolved = [&scratch]() -> std::span<core::GroupHandle> {
+    scratch = {};
+    return scratch;
+  };
+  const core::SystemState state;
+  for (int round = 0; round < 5; ++round) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      SCOPED_TRACE("round " + std::to_string(round) + " job " +
+                   std::to_string(j));
+      EXPECT_EQ(kept.preview(jobs[j], requested[j], handles[j], state),
+                fresh.preview(jobs[j], requested[j], unresolved(), state));
+      EXPECT_EQ(kept.preview_epoch(jobs[j], requested[j], handles[j]),
+                fresh.preview_epoch(jobs[j], requested[j], unresolved()));
+      const ResourceVector grant =
+          kept.estimate(jobs[j], requested[j], handles[j], state);
+      ASSERT_EQ(grant,
+                fresh.estimate(jobs[j], requested[j], unresolved(), state));
+      if (round == 2) {
+        // An attempt that never ran: both sides give the probe slot back.
+        kept.cancel(jobs[j], requested[j], handles[j], grant);
+        fresh.cancel(jobs[j], requested[j], unresolved(), grant);
+        continue;
+      }
+      core::VectorFeedback fb;
+      fb.granted = grant;
+      fb.explicit_feedback = true;
+      fb.used = used;
+      fb.success = grant.covers(used, 3);
+      for (std::size_t d = 0; d < 3; ++d) {
+        fb.dim_failure[d] = grant[d] + 1e-9 < used[d];
+      }
+      kept.feedback(jobs[j], requested[j], handles[j], fb);
+      fresh.feedback(jobs[j], requested[j], unresolved(), fb);
+      for (const core::GroupHandle& h : handles[j]) {
+        EXPECT_TRUE(h.resolved());
+      }
+    }
+  }
 }
 
 TEST(VectorEstimator, ReportsExplicitFeedbackRequirement) {

@@ -1059,6 +1059,10 @@ TEST(Server, PipelinedAsyncCompletionsAnswerEveryRequestOnce) {
     EXPECT_EQ(stats.protocol_errors, 0u);
     EXPECT_EQ(stats.backpressure_rejects, 0u);
     EXPECT_EQ(stats.requests, run.conns * (3 * kJobs + 1));
+    // A flush resumes each paused connection at most once, after all of
+    // its completions, not once per completion.
+    EXPECT_GT(stats.completion_flushes, 0u);
+    EXPECT_LE(stats.pipeline_resumes, stats.completion_flushes * run.conns);
     fs::remove_all(dir);
   }
 }

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
+#include "core/successive_approximation.hpp"
 #include "sched/factory.hpp"
 #include "sim/simulator.hpp"
+#include "trace/cm5_model.hpp"
+#include "trace/job_stream.hpp"
 #include "trace/transforms.hpp"
 
 namespace resmatch::sim {
@@ -317,6 +320,37 @@ TEST(Simulator, PoliciesComposeWithEstimators) {
                 60u)
           << policy << "/" << estimator;
     }
+  }
+}
+
+TEST(Simulator, ComputesEachJobsGroupKeyAboutOnce) {
+  // The simulator keeps a group handle per job, so SA computes a job's
+  // similarity key when the job first finds its group, not on every
+  // preview, epoch check, estimate and feedback. A queued job whose group
+  // does not exist yet looks again until an estimate creates it, so the
+  // count is a little above one per job. Exact: the stream, the cluster
+  // and the policies are deterministic.
+  struct Case {
+    const char* policy;
+    std::uint64_t keys;
+  };
+  for (const Case c : {Case{"fcfs", 4189}, Case{"easy-backfill", 4770}}) {
+    SCOPED_TRACE(c.policy);
+    std::uint64_t keys = 0;
+    core::SuccessiveApproximationEstimator est(
+        {}, [&keys](const trace::JobRecord& job) {
+          ++keys;
+          return core::default_similarity_key(job);
+        });
+    trace::Cm5JobStream stream(trace::cm5_small_config(5, 3000));
+    auto pol = sched::make_policy(c.policy);
+    SimulationConfig cfg;
+    cfg.explicit_feedback = true;
+    const auto result =
+        simulate(stream, cm5_heterogeneous(24.0, 64), est, *pol, cfg);
+    ASSERT_EQ(result.submitted, 3000u);
+    EXPECT_LE(keys, 2 * result.submitted);
+    EXPECT_EQ(keys, c.keys);
   }
 }
 
