@@ -14,14 +14,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/capacity_ladder.hpp"
@@ -507,6 +511,211 @@ TEST(Codec, FuzzLiteCorruptedValidFramesNeverCrash) {
     auto msg = decoder.next();
     (void)msg;  // any of {ok, need-more, error} is acceptable; crashing is not
   }
+}
+
+// --- golden frames: the exact bytes a peer sees ------------------------------
+
+std::string to_hex(const std::vector<char>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::vector<char> from_hex(const std::string& hex) {
+  std::vector<char> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<char>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+/// Every field of an envelope as text (doubles in hexfloat, so exact):
+/// two envelopes print the same iff each field decoded to the same value.
+std::string fields_of(const net::Envelope& env) {
+  std::ostringstream os;
+  os << std::hexfloat << static_cast<unsigned>(env.type) << ' '
+     << env.request_id;
+  const auto job = [&os](const trace::JobRecord& j) {
+    os << ' ' << j.id << ' ' << j.submit << ' ' << j.runtime << ' '
+       << j.requested_time << ' ' << j.nodes << ' ' << j.requested_mem_mib
+       << ' ' << j.used_mem_mib << ' ' << j.user << ' ' << j.app << ' '
+       << static_cast<int>(j.status);
+  };
+  std::visit(
+      [&](const auto& body) {
+        using T = std::decay_t<decltype(body)>;
+        if constexpr (std::is_same_v<T, net::EstimateReq> ||
+                      std::is_same_v<T, net::PreviewReq>) {
+          job(body.job);
+        } else if constexpr (std::is_same_v<T, net::FeedbackReq>) {
+          job(body.job);
+          os << ' ' << body.fb.success << ' ' << body.fb.granted_mib;
+          if (body.fb.used_mib) os << " used " << *body.fb.used_mib;
+          if (body.fb.resource_failure) {
+            os << " rf " << *body.fb.resource_failure;
+          }
+        } else if constexpr (std::is_same_v<T, net::CancelReq>) {
+          job(body.job);
+          os << ' ' << body.granted;
+        } else if constexpr (std::is_same_v<T, net::MatchReq>) {
+          for (const auto& [name, source] : body.attrs) {
+            os << " [" << name << '|' << source << ']';
+          }
+        } else if constexpr (std::is_same_v<T, net::EstimateResp>) {
+          os << ' ' << body.granted_mib << ' ' << body.lowered << ' '
+             << body.group_key;
+        } else if constexpr (std::is_same_v<T, net::PreviewResp>) {
+          os << ' ' << body.granted_mib;
+        } else if constexpr (std::is_same_v<T, net::Ack>) {
+          os << ' ' << body.ok;
+        } else if constexpr (std::is_same_v<T, net::HealthResp>) {
+          os << ' ' << body.degraded << ' ' << body.wal_enabled << ' '
+             << body.groups;
+        } else if constexpr (std::is_same_v<T, net::StatsResp>) {
+          for (const std::uint64_t v :
+               {body.submissions, body.rewrites, body.successes,
+                body.failures, body.cancels, body.groups, body.evictions,
+                body.degraded_ops, body.wal_appends, body.compactions}) {
+            os << ' ' << v;
+          }
+        } else if constexpr (std::is_same_v<T, net::MatchResp>) {
+          for (const std::uint32_t row : body.rows) os << ' ' << row;
+        } else if constexpr (std::is_same_v<T, net::ErrorResp>) {
+          os << ' ' << static_cast<unsigned>(body.code) << " ["
+             << body.message << ']';
+        }
+        // CheckpointReq, HealthReq, StatsReq: no body fields.
+      },
+      env.body);
+  return os.str();
+}
+
+TEST(Codec, GoldenFramesKeepTheirBytes) {
+  // Every round-trip test above would pass under a codec or checksum that
+  // changed the bytes consistently on both sides; these literals pin what
+  // a peer built from an older (or newer) tree sends and expects. The
+  // literals are little-endian (the host order every supported target
+  // has; DESIGN.md §7).
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "golden frames are recorded in little-endian order";
+  }
+  std::vector<char> magic;
+  net::encode_magic(magic);
+  EXPECT_EQ(to_hex(magic), "52534d4e45543031");
+
+  core::Feedback explicit_fb;
+  explicit_fb.success = true;
+  explicit_fb.granted_mib = 16.0;
+  explicit_fb.used_mib = 5.25;
+  explicit_fb.resource_failure = false;
+  core::Feedback implicit_fb;
+  implicit_fb.success = false;
+  implicit_fb.granted_mib = 8.0;
+  net::HealthResp health;
+  health.wal_enabled = true;
+  health.groups = 17;
+  net::StatsResp stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+
+  // Each golden frame must encode to its literal and decode back to the
+  // same fields, with nothing left over. A literal's first line is the
+  // frame header (u32 length, u32 CRC-32 of the payload); the payload
+  // follows.
+  const auto check = [](const net::Envelope& envelope,
+                        const std::string& hex) {
+    const std::string name = net::to_string(envelope.type) +
+                             std::string(" #") +
+                             std::to_string(envelope.request_id);
+    std::vector<char> bytes;
+    net::encode_envelope(bytes, envelope);
+    EXPECT_EQ(to_hex(bytes), hex) << name;
+
+    const std::vector<char> golden = from_hex(hex);
+    net::Decoder decoder(/*expect_magic=*/false);
+    decoder.feed(golden.data(), golden.size());
+    auto msg = decoder.next();
+    ASSERT_TRUE(msg.has_value()) << name << ": " << msg.error();
+    ASSERT_TRUE(msg.value().has_value()) << name;
+    EXPECT_EQ(fields_of(*msg.value()), fields_of(envelope)) << name;
+    EXPECT_EQ(decoder.buffered(), 0u) << name;
+  };
+
+  check({net::MsgType::kEstimate, 1,
+         net::EstimateReq{make_job(7, 3, 2, 24.0, 9.5)}},
+        "49000000a9214e34"
+        "01010000000000000007000000000000000000000000001c4000000000000024"
+        "4000000000000034400200000000000000000038400000000000002340030000"
+        "000200000001000000");
+  check({net::MsgType::kPreview, 2,
+         net::PreviewReq{make_job(8, 4, 1, 16.0, 6.25)}},
+        "49000000edb3d8a8"
+        "0202000000000000000800000000000000000000000000204000000000000024"
+        "4000000000000034400200000000000000000030400000000000001940040000"
+        "000100000001000000");
+  check({net::MsgType::kFeedback, 3,
+         net::FeedbackReq{make_job(9, 0, 0, 16.0, 5.25), explicit_fb}},
+        "5d000000d58c2087"
+        "0303000000000000000900000000000000000000000000224000000000000024"
+        "4000000000000034400200000000000000000030400000000000001540000000"
+        "0000000000010000000100000000000030400100000000000015400100");
+  check({net::MsgType::kFeedback, 4,
+         net::FeedbackReq{make_job(10, 0, 0, 8.0, 8.0), implicit_fb}},
+        "5d0000003d1c88c0"
+        "0304000000000000000a00000000000000000000000000244000000000000024"
+        "4000000000000034400200000000000000000020400000000000002040000000"
+        "0000000000010000000000000000000020400000000000000000000000");
+  check({net::MsgType::kCancel, 5,
+         net::CancelReq{make_job(11, 2, 1, 32.0, 1.0), 24.0}},
+        "5100000036f5c6d6"
+        "0405000000000000000b00000000000000000000000000264000000000000024"
+        "400000000000003440020000000000000000004040000000000000f03f020000"
+        "0001000000010000000000000000003840");
+  check({net::MsgType::kCheckpoint, 6, net::CheckpointReq{}},
+        "090000006658f16a"
+        "050600000000000000");
+  check({net::MsgType::kHealth, 7, net::HealthReq{}},
+        "090000003d64d69f"
+        "060700000000000000");
+  check({net::MsgType::kStats, 8, net::StatsReq{}},
+        "09000000d2628d51"
+        "070800000000000000");
+  check({net::MsgType::kMatch, 9,
+         net::MatchReq{{{"req_memory", "16"},
+                        {"requirements", "other.memory >= my.req_memory"}}}},
+        "5200000012031ebe"
+        "080900000000000000020000000a0000007265715f6d656d6f72790200000031"
+        "360c000000726571756972656d656e74731d0000006f746865722e6d656d6f72"
+        "79203e3d206d792e7265715f6d656d6f7279");
+  check({net::MsgType::kEstimateResp, 10,
+         net::EstimateResp{16.0, true, 0xDEADBEEFu}},
+        "1a0000008ffd0fbe"
+        "810a00000000000000000000000000304001efbeadde00000000");
+  check({net::MsgType::kPreviewResp, 11, net::PreviewResp{24.0}},
+        "11000000447cc79c"
+        "820b000000000000000000000000003840");
+  check({net::MsgType::kAck, 12, net::Ack{true}},
+        "0a000000f6198b7f"
+        "830c0000000000000001");
+  check({net::MsgType::kHealthResp, 13, health},
+        "13000000c0f6b0fd"
+        "840d0000000000000000011100000000000000");
+  check({net::MsgType::kStatsResp, 14, stats},
+        "590000007e9233d4"
+        "850e000000000000000100000000000000020000000000000003000000000000"
+        "0004000000000000000500000000000000060000000000000007000000000000"
+        "00080000000000000009000000000000000a00000000000000");
+  check({net::MsgType::kMatchResp, 15, net::MatchResp{{4, 2}}},
+        "1500000021756d3b"
+        "860f00000000000000020000000400000002000000");
+  check({net::MsgType::kError, 16,
+         net::ErrorResp{net::ErrorCode::kBackpressure, "queue full"}},
+        "15000000471bb5c6"
+        "ff1000000000000000020071756575652066756c6c");
 }
 
 // --- server over real sockets ------------------------------------------------
