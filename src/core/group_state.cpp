@@ -102,7 +102,7 @@ bool SaGroupState::invariants_hold() const noexcept {
          estimate >= 0.0;
 }
 
-std::vector<double> SaGroupState::to_fields() const {
+std::array<double, 5> SaGroupState::to_fields() const {
   return {estimate, last_good, alpha, probe_outstanding ? 1.0 : 0.0,
           probe_grant};
 }

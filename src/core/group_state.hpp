@@ -15,6 +15,7 @@
 // it for warm restarts.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -73,7 +74,8 @@ struct SaGroupState {
 
   // --- snapshot codec (svc::EstimatorStore) -------------------------------
   static constexpr const char* kKind = "successive-approximation";
-  [[nodiscard]] std::vector<double> to_fields() const;
+  /// Fixed-size, so the WAL append on the batch worker allocates nothing.
+  [[nodiscard]] std::array<double, 5> to_fields() const;
   [[nodiscard]] static std::optional<SaGroupState> from_fields(
       const std::vector<double>& fields);
 };

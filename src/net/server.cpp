@@ -302,7 +302,10 @@ void Server::drain_decoder(Conn& conn) {
 }
 
 bool Server::serve(Conn& conn, Envelope&& envelope) {
-  const auto t0 = std::chrono::steady_clock::now();
+  // Only record_latency reads t0, and only with a histogram attached.
+  const auto t0 = latency_hist_ != nullptr
+                      ? std::chrono::steady_clock::now()
+                      : std::chrono::steady_clock::time_point{};
   requests_.fetch_add(1, std::memory_order_relaxed);
   const int slot = request_slot(envelope.type);
   if (slot >= 0 && request_counters_[slot] != nullptr) {

@@ -703,7 +703,7 @@ bool Matchd::wal_buffer_locked(std::uint64_t key,
   // retries (and their backoff sleeps) belong to wal_commit(), which
   // runs after the lock is released — a sick disk backs off without
   // stalling every other key hashed to the shard.
-  const std::vector<double> fields = g.to_fields();
+  const auto fields = g.to_fields();
   return wal_->append_buffered(store_.shard_of(key), key, fields.data(),
                                fields.size());
 }
