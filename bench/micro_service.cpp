@@ -218,15 +218,11 @@ std::vector<match::ClassAd> make_machines(std::size_t count) {
 
 struct MatcherSample {
   double interp_rows_per_sec = 0.0;
-  /// SIMD prefilter (the default), table build amortized over the passes.
+  /// Compiled matcher, table build amortized over the passes.
   double compiled_rows_per_sec = 0.0;
-  /// Same pipeline with the scalar kernel, table build amortized too.
-  double scalar_rows_per_sec = 0.0;
-  /// Scalar over SIMD per-pass time; the table build is in neither arm.
-  double simd_speedup = 0.0;
   double table_build_ms = 0.0;
   std::uint64_t fallback_rows = 0;
-  std::uint64_t prefiltered_rows = 0;  ///< per pass, SIMD run
+  std::uint64_t prefiltered_rows = 0;  ///< per pass
   std::size_t matched = 0;  ///< sanity: all paths must agree
 };
 
@@ -255,57 +251,27 @@ MatcherSample measure_matcher(std::size_t machine_count, int passes) {
   const double interp_s = seconds_since(t0);
 
   // The table is built once per machine set and timed on its own; each
-  // pass compiles the request and ranks every row. The SIMD-prefilter
-  // (default) and scalar-kernel arms interleave per pass, alternating
-  // which goes first, so neither host load drift nor cache warmth from
-  // the other arm can masquerade as a kernel delta.
+  // pass compiles the request and ranks every row.
   const auto t1 = std::chrono::steady_clock::now();
   const match::MachineTable table = match::MachineTable::build(machines);
   const double build_s = seconds_since(t1);
   std::vector<std::size_t> compiled_ranked;
-  std::vector<std::size_t> scalar_ranked;
   match::CompiledMatcher::Stats stats;
-  double compiled_s = 0.0;
-  double scalar_s = 0.0;
-  const auto run_simd = [&] {
-    const auto a = std::chrono::steady_clock::now();
-    compiled_ranked = match::rank_matches_compiled(request, table, &stats);
-    compiled_s += seconds_since(a);
-  };
-  const auto run_scalar = [&] {
-    const auto a = std::chrono::steady_clock::now();
-    match::CompiledMatcher matcher(request, table);
-    matcher.set_simd_enabled(false);
-    scalar_ranked = matcher.rank_all();
-    scalar_s += seconds_since(a);
-  };
+  const auto t2 = std::chrono::steady_clock::now();
   for (int p = 0; p < passes; ++p) {
-    if (p % 2 == 0) {
-      run_simd();
-      run_scalar();
-    } else {
-      run_scalar();
-      run_simd();
-    }
+    compiled_ranked = match::rank_matches_compiled(request, table, &stats);
   }
+  const double compiled_s = seconds_since(t2);
 
   if (compiled_ranked != interp_ranked) {
     std::fprintf(stderr,
                  "FATAL: compiled matcher diverged from the tree walker\n");
     std::exit(1);
   }
-  if (scalar_ranked != interp_ranked) {
-    std::fprintf(
-        stderr,
-        "FATAL: scalar-prefilter matcher diverged from the tree walker\n");
-    std::exit(1);
-  }
 
   const double rows = static_cast<double>(machine_count) * passes;
   sample.interp_rows_per_sec = rows / interp_s;
   sample.compiled_rows_per_sec = rows / (build_s + compiled_s);
-  sample.scalar_rows_per_sec = rows / (build_s + scalar_s);
-  sample.simd_speedup = scalar_s / compiled_s;
   sample.table_build_ms = build_s * 1e3;
   sample.fallback_rows = stats.fallback_rows;
   sample.prefiltered_rows = stats.prefiltered_rows;
@@ -398,13 +364,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(matcher.prefiltered_rows));
     std::printf("  tree walker     %12.0f rows/s\n",
                 matcher.interp_rows_per_sec);
-    std::printf("  bytecode+simd   %12.0f rows/s   (%.2fx, incl. %.1f ms "
+    std::printf("  bytecode        %12.0f rows/s   (%.2fx, incl. %.1f ms "
                 "table build)\n",
                 matcher.compiled_rows_per_sec, match_speedup,
                 matcher.table_build_ms);
-    std::printf("  bytecode scalar %12.0f rows/s   (simd kernel %.2fx "
-                "per pass)\n",
-                matcher.scalar_rows_per_sec, matcher.simd_speedup);
 
     obs::BenchRecord record("micro_service_batch");
     record.config("threads", static_cast<std::int64_t>(threads));
@@ -419,9 +382,6 @@ int main(int argc, char** argv) {
     record.summary("match_rows_per_sec_compiled",
                    matcher.compiled_rows_per_sec);
     record.summary("match_speedup", match_speedup);
-    record.summary("match_rows_per_sec_compiled_scalar",
-                   matcher.scalar_rows_per_sec);
-    record.summary("match_simd_speedup", matcher.simd_speedup);
     record.summary("match_table_build_ms", matcher.table_build_ms);
     record.summary("match_prefiltered_rows",
                    static_cast<double>(matcher.prefiltered_rows));

@@ -316,7 +316,7 @@ TEST(CompiledMatcher, CompleteNumericRequirementsDecidedByScan) {
   EXPECT_EQ(matcher.stats().fallback_rows, 1u);  // the impure row
 }
 
-TEST(CompiledMatcher, PrefilterScalarKernelAgreesWithSimd) {
+TEST(CompiledMatcher, PrefilterAgreesWithTreeOverRandomPopulations) {
   util::Rng rng(4242);
   for (int round = 0; round < 20; ++round) {
     ClassAd job;
@@ -324,8 +324,8 @@ TEST(CompiledMatcher, PrefilterScalarKernelAgreesWithSimd) {
                  "other.memory >= 16 && other.cpus < 6 && other.load != "
                  "0.5");
     job.set_expr("rank", "other.memory - other.load");
-    // Odd population size exercises the AVX2 tail; random non-numeric
-    // holes exercise the mask.
+    // Random population sizes exercise the scan bounds; random
+    // non-numeric holes exercise the mask.
     std::vector<ClassAd> machines(
         static_cast<std::size_t>(rng.uniform_int(1, 70)));
     for (ClassAd& m : machines) {
@@ -345,15 +345,24 @@ TEST(CompiledMatcher, PrefilterScalarKernelAgreesWithSimd) {
     const MachineTable table = MachineTable::build(machines);
     const auto tree = rank_matches(job, machines);
 
-    CompiledMatcher simd(job, table);
-    ASSERT_EQ(simd.prefilter_term_count(), 3u);
-    CompiledMatcher scalar(job, table);
-    scalar.set_simd_enabled(false);
+    // A row is prefiltered iff one of its numeric cells fails its term;
+    // a missing or string cell never rejects.
+    std::uint64_t expect_prefiltered = 0;
+    for (const ClassAd& m : machines) {
+      const Value memory = m.evaluate("memory");
+      const Value cpus = m.evaluate("cpus");
+      const Value load = m.evaluate("load");
+      expect_prefiltered += static_cast<std::uint64_t>(
+          (memory.is_number() && !(memory.as_number() >= 16)) ||
+          (cpus.is_number() && !(cpus.as_number() < 6)) ||
+          (load.is_number() && !(load.as_number() != 0.5)));
+    }
 
-    EXPECT_EQ(simd.rank_all(), tree) << "round " << round;
-    EXPECT_EQ(scalar.rank_all(), tree) << "round " << round;
-    EXPECT_EQ(simd.stats().prefiltered_rows,
-              scalar.stats().prefiltered_rows);
+    CompiledMatcher matcher(job, table);
+    ASSERT_EQ(matcher.prefilter_term_count(), 3u);
+    EXPECT_EQ(matcher.rank_all(), tree) << "round " << round;
+    EXPECT_EQ(matcher.stats().prefiltered_rows, expect_prefiltered)
+        << "round " << round;
   }
 }
 
@@ -467,14 +476,6 @@ TEST_P(CompiledDifferential, RankingsAreBitIdenticalToTree) {
     const auto tree = rank_matches(job, machines);
     const auto compiled = rank_matches_compiled(job, table);
     ASSERT_EQ(compiled, tree)
-        << "seed=" << GetParam() << " round=" << round
-        << " requirements=" << to_string(*(*job.find("requirements")));
-    // Same with the prefilter's scalar kernel: the fuzz's random `&&`
-    // chains of numeric comparisons exercise term extraction, and both
-    // kernels must agree with the tree (and each other) everywhere.
-    CompiledMatcher scalar(job, table);
-    scalar.set_simd_enabled(false);
-    ASSERT_EQ(scalar.rank_all(), tree)
         << "seed=" << GetParam() << " round=" << round
         << " requirements=" << to_string(*(*job.find("requirements")));
   }
