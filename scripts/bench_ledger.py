@@ -21,7 +21,8 @@ and writes BENCH_<workload>.json in the repository root:
 "result" is the run's JSON result line and "provenance" the JSON after
 its "provenance:" line. The summary covers every end_to_end metric of
 BENCHMARK.json that every run reports; quartiles interpolate between
-runs.
+runs. A "pairs" list already in the file (scripts/bench_pairs.py's
+parent/change comparisons) is kept as it is.
 If any run prints no result line or reports "correct": false, the script
 writes no record at all and exits 1.
 """
@@ -80,6 +81,15 @@ def summarize(runs, end_to_end):
     return summary
 
 
+def kept_pairs(path):
+    """The "pairs" list of the record at `path`, or [] when it has none."""
+    try:
+        with open(path) as f:
+            return json.load(f).get("pairs", [])
+    except (OSError, ValueError):
+        return []
+
+
 def main(argv):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -111,6 +121,9 @@ def main(argv):
 
     for workload, record in records.items():
         path = os.path.join(ROOT, f"BENCH_{workload}.json")
+        pairs = kept_pairs(path)
+        if pairs:
+            record["pairs"] = pairs
         with open(path, "w") as f:
             json.dump(record, f, indent=2)
             f.write("\n")

@@ -33,14 +33,6 @@ MiB QuantileEstimator::preview(const trace::JobRecord& job,
   return ladder_.round_up(target);
 }
 
-bool QuantileEstimator::covers(const trace::JobRecord& job,
-                               MiB used_mib) const {
-  trace::JobRecord labeled = job;
-  labeled.used_mem_mib = used_mib;
-  const double predicted = regressor_.predict(ml::job_features(labeled));
-  return predicted >= ml::usage_target(labeled);
-}
-
 void QuantileEstimator::feedback(const trace::JobRecord& job,
                                  const Feedback& fb) {
   const double lambda = 1.0 / static_cast<double>(config_.ewma_horizon);

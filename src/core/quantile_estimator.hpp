@@ -86,11 +86,6 @@ class QuantileEstimator final : public Estimator {
     return regressor_.observations();
   }
 
-  /// Score a labeled job against the current model WITHOUT training on it:
-  /// would the raw prediction have covered the actual usage? Used by the
-  /// ensemble for per-group coverage accounting.
-  [[nodiscard]] bool covers(const trace::JobRecord& job, MiB used_mib) const;
-
  private:
   /// Layout version stamped first in save_state() blobs.
   static constexpr double kStateVersion = 1.0;

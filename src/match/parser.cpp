@@ -255,13 +255,28 @@ std::string to_string(const Expr& expr) {
     case ExprKind::kUnary:
       return std::string(op_text(expr.op)) + "(" +
              to_string(*expr.children[0]) + ")";
-    case ExprKind::kBinary:
-      return "(" + to_string(*expr.children[0]) + " " + op_text(expr.op) +
-             " " + to_string(*expr.children[1]) + ")";
-    case ExprKind::kTernary:
-      return "(" + to_string(*expr.children[0]) + " ? " +
-             to_string(*expr.children[1]) + " : " +
-             to_string(*expr.children[2]) + ")";
+    // Appended to a named string: GCC 12 reports a false -Wrestrict on
+    // `"(" + std::string&&`.
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += to_string(*expr.children[0]);
+      out += ' ';
+      out += op_text(expr.op);
+      out += ' ';
+      out += to_string(*expr.children[1]);
+      out += ')';
+      return out;
+    }
+    case ExprKind::kTernary: {
+      std::string out = "(";
+      out += to_string(*expr.children[0]);
+      out += " ? ";
+      out += to_string(*expr.children[1]);
+      out += " : ";
+      out += to_string(*expr.children[2]);
+      out += ')';
+      return out;
+    }
     case ExprKind::kCall: {
       std::string out = expr.name + "(";
       for (std::size_t i = 0; i < expr.children.size(); ++i) {

@@ -37,6 +37,22 @@ int request_slot(MsgType type) noexcept {
   return v >= 1 && v <= 8 ? static_cast<int>(v) : -1;
 }
 
+/// The envelope a staged request was decoded from, rebuilt for
+/// serve_inline() when the matchd queue is closed.
+Envelope envelope_of(std::uint64_t request_id,
+                     const svc::Matchd::Request& r) {
+  using Kind = svc::Matchd::Request::Kind;
+  switch (r.kind) {
+    case Kind::kSubmit:
+      return {MsgType::kEstimate, request_id, EstimateReq{r.job}};
+    case Kind::kFeedback:
+      return {MsgType::kFeedback, request_id, FeedbackReq{r.job, r.fb}};
+    case Kind::kCancel:
+      return {MsgType::kCancel, request_id, CancelReq{r.job, r.granted}};
+  }
+  return {};
+}
+
 }  // namespace
 
 Server::Server(svc::Matchd& matchd, ServerConfig config)
@@ -275,19 +291,28 @@ void Server::handle_readable(Conn& conn) {
 }
 
 void Server::drain_decoder(Conn& conn) {
-  while (conn.in_flight < config_.max_pipeline) {
-    auto msg = conn.decoder.next();
-    if (!msg) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      close_conn(conn.serial);
-      return;
+  // Serve what the pipeline cap allows, staging the queue-bound requests,
+  // then admit the stage with one call. A refused request gives its slot
+  // back, so go round again while that left room and frames are buffered.
+  bool buffered = true;
+  while (buffered && conn.in_flight < config_.max_pipeline) {
+    while (conn.in_flight < config_.max_pipeline) {
+      auto msg = conn.decoder.next();
+      if (msg && !msg.value().has_value()) {
+        buffered = false;  // need more bytes
+        break;
+      }
+      if (!msg) protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      if (!msg || !serve(conn, *msg.value())) {
+        // A connection that closes has nothing admitted, not even what it
+        // staged before the bad frame.
+        staged_.clear();
+        staged_info_.clear();
+        close_conn(conn.serial);
+        return;
+      }
     }
-    if (!msg.value().has_value()) break;  // need more bytes
-    if (!serve(conn, std::move(*msg.value()))) {
-      close_conn(conn.serial);
-      return;
-    }
-    if (conn.in_flight >= config_.max_pipeline) break;
+    admit_staged(conn);
   }
 
   // Pipeline-cap backpressure: stop reading this socket until responses
@@ -301,7 +326,7 @@ void Server::drain_decoder(Conn& conn) {
   try_write(conn);
 }
 
-bool Server::serve(Conn& conn, Envelope&& envelope) {
+bool Server::serve(Conn& conn, const Envelope& envelope) {
   // Only record_latency reads t0, and only with a histogram attached.
   const auto t0 = latency_hist_ != nullptr
                       ? std::chrono::steady_clock::now()
@@ -319,67 +344,77 @@ bool Server::serve(Conn& conn, Envelope&& envelope) {
     return false;
   }
 
-  // The mutating operations route through the bounded admission queue
-  // when the matchd runs workers; everything else is served inline.
-  if (matchd_->async_enabled()) {
-    const std::uint64_t serial = conn.serial;
-    const std::uint64_t request_id = envelope.request_id;
-    svc::PushResult admitted = svc::PushResult::kClosed;
-    switch (envelope.type) {
-      case MsgType::kEstimate: {
-        const auto& req = std::get<EstimateReq>(envelope.body);
-        admitted = matchd_->submit_async(
-            req.job, [this, serial, request_id,
-                      t0](const svc::MatchDecision& d) {
-              std::vector<char> bytes;
-              encode(bytes, request_id,
-                     EstimateResp{d.granted_mib, d.lowered, d.group_key});
-              record_latency(t0);
-              post_completion(serial, std::move(bytes));
-            });
-        break;
-      }
-      case MsgType::kFeedback: {
-        const auto& req = std::get<FeedbackReq>(envelope.body);
-        admitted = matchd_->feedback_async(
-            svc::JobOutcome{req.job, req.fb}, [this, serial, request_id, t0] {
-              std::vector<char> bytes;
-              encode(bytes, request_id, Ack{true});
-              record_latency(t0);
-              post_completion(serial, std::move(bytes));
-            });
-        break;
-      }
-      case MsgType::kCancel: {
-        const auto& req = std::get<CancelReq>(envelope.body);
-        admitted = matchd_->cancel_async(
-            req.job, req.granted, [this, serial, request_id, t0] {
-              std::vector<char> bytes;
-              encode(bytes, request_id, Ack{true});
-              record_latency(t0);
-              post_completion(serial, std::move(bytes));
-            });
-        break;
-      }
-      default:
-        admitted = svc::PushResult::kClosed;  // non-queue request kinds
-        break;
-    }
-    if (admitted == svc::PushResult::kOk) {
-      ++conn.in_flight;
-      return true;
-    }
-    if (admitted == svc::PushResult::kFull) {
-      backpressure_rejects_.fetch_add(1, std::memory_order_relaxed);
-      encode(conn.out, envelope.request_id,
-             ErrorResp{ErrorCode::kBackpressure, "admission queue full"});
-      return true;
-    }
-    // kClosed: not a queued kind (or the pool is gone) — serve inline.
+  // The mutating operations go through the bounded admission queue when
+  // the matchd runs workers; everything else is served inline.
+  if (!matchd_->async_enabled() || !stage(conn, envelope, t0)) {
+    serve_inline(conn, envelope, t0);
   }
-
-  serve_inline(conn, envelope, t0);
   return true;
+}
+
+bool Server::stage(Conn& conn, const Envelope& envelope,
+                   std::chrono::steady_clock::time_point t0) {
+  using Kind = svc::Matchd::Request::Kind;
+  const MsgType type = envelope.type;
+  if (type != MsgType::kEstimate && type != MsgType::kFeedback &&
+      type != MsgType::kCancel) {
+    return false;
+  }
+  const std::uint64_t serial = conn.serial;
+  const std::uint64_t request_id = envelope.request_id;
+  svc::Matchd::Request& r = staged_.emplace_back();
+  if (type == MsgType::kEstimate) {
+    r.kind = Kind::kSubmit;
+    r.job = std::get<EstimateReq>(envelope.body).job;
+    r.on_decision = [this, serial, request_id,
+                     t0](const svc::MatchDecision& d) {
+      post_completion(serial, request_id,
+                      EstimateResp{d.granted_mib, d.lowered, d.group_key});
+      record_latency(t0);
+    };
+  } else {
+    if (type == MsgType::kFeedback) {
+      const auto& req = std::get<FeedbackReq>(envelope.body);
+      r.kind = Kind::kFeedback;
+      r.job = req.job;
+      r.fb = req.fb;
+    } else {
+      const auto& req = std::get<CancelReq>(envelope.body);
+      r.kind = Kind::kCancel;
+      r.job = req.job;
+      r.granted = req.granted;
+    }
+    r.on_done = [this, serial, request_id, t0] {
+      post_completion(serial, request_id, Ack{true});
+      record_latency(t0);
+    };
+  }
+  staged_info_.push_back(Staged{request_id, t0});
+  ++conn.in_flight;
+  return true;
+}
+
+void Server::admit_staged(Conn& conn) {
+  if (staged_.empty()) return;
+  admission_batches_.fetch_add(1, std::memory_order_relaxed);
+  admit_results_.resize(staged_.size());
+  (void)matchd_->admit(staged_, admit_results_);
+  for (std::size_t i = 0; i < staged_.size(); ++i) {
+    const svc::PushResult result = admit_results_[i];
+    if (result == svc::PushResult::kOk) continue;
+    --conn.in_flight;
+    const Staged& info = staged_info_[i];
+    if (result == svc::PushResult::kFull) {
+      backpressure_rejects_.fetch_add(1, std::memory_order_relaxed);
+      encode(conn.out, info.request_id,
+             ErrorResp{ErrorCode::kBackpressure, "admission queue full"});
+    } else {
+      // kClosed: the pool is gone (shutting down) — serve it inline.
+      serve_inline(conn, envelope_of(info.request_id, staged_[i]), info.t0);
+    }
+  }
+  staged_.clear();
+  staged_info_.clear();
 }
 
 void Server::serve_inline(Conn& conn, const Envelope& envelope,
@@ -479,13 +514,17 @@ void Server::serve_match(Conn& conn, std::uint64_t request_id,
   encode(conn.out, request_id, resp);
 }
 
-void Server::post_completion(std::uint64_t serial,
-                             std::vector<char>&& bytes) {
+template <typename Body>
+void Server::post_completion(std::uint64_t serial, std::uint64_t request_id,
+                             const Body& body) {
   bool was_empty = false;
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
     was_empty = completions_.empty();
-    completions_.push_back(Completion{serial, std::move(bytes)});
+    const std::size_t offset = completion_bytes_.size();
+    encode(completion_bytes_, request_id, body);
+    completions_.push_back(
+        Completion{serial, offset, completion_bytes_.size() - offset});
   }
   // One wake per burst: only the push that makes the list non-empty
   // signals; later pushes ride along until the loop swaps the list out.
@@ -499,17 +538,19 @@ void Server::flush_completions() {
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
     flushing_.swap(completions_);
+    flushing_bytes_.swap(completion_bytes_);
   }
   if (flushing_.empty()) return;
   completion_flushes_.fetch_add(1, std::memory_order_relaxed);
   // Append every response to its connection's buffer in list order, then
   // resume each connection the flush took below its pipeline cap, then
   // write each touched connection once.
-  for (Completion& c : flushing_) {
+  for (const Completion& c : flushing_) {
     const auto it = conns_.find(c.serial);
     if (it == conns_.end()) continue;  // connection died while in flight
     Conn& conn = *it->second;
-    conn.out.insert(conn.out.end(), c.bytes.begin(), c.bytes.end());
+    const char* bytes = flushing_bytes_.data() + c.offset;
+    conn.out.insert(conn.out.end(), bytes, bytes + c.length);
     if (!conn.write_listed) {
       conn.write_listed = true;
       to_write_.push_back(c.serial);
@@ -517,6 +558,7 @@ void Server::flush_completions() {
     if (conn.in_flight > 0) --conn.in_flight;
   }
   flushing_.clear();
+  flushing_bytes_.clear();
   // Resume after all of a connection's completions, so one drain admits
   // every request the flush made room for. Resuming per completion would
   // admit one request, re-pause and repeat, at two epoll_ctl calls and a
@@ -633,6 +675,7 @@ ServerStats Server::stats() const {
   out.completion_flushes =
       completion_flushes_.load(std::memory_order_relaxed);
   out.pipeline_resumes = pipeline_resumes_.load(std::memory_order_relaxed);
+  out.admission_batches = admission_batches_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -687,6 +730,21 @@ void Server::register_metrics() {
   add_counter("resmatch_net_bytes_written_total",
               "Bytes written to client sockets", [this] {
                 return bytes_written_.load(std::memory_order_relaxed);
+              });
+  add_counter("resmatch_net_completion_flushes_total",
+              "Loop-thread flushes that carried at least one worker response",
+              [this] {
+                return completion_flushes_.load(std::memory_order_relaxed);
+              });
+  add_counter("resmatch_net_pipeline_resumes_total",
+              "Connections a flush resumed from the pipeline cap", [this] {
+                return pipeline_resumes_.load(std::memory_order_relaxed);
+              });
+  add_counter("resmatch_net_admission_batches_total",
+              "Calls that admitted one drain's staged requests into the "
+              "matchd queue",
+              [this] {
+                return admission_batches_.load(std::memory_order_relaxed);
               });
   reg->gauge_fn("resmatch_net_connections", "Currently open connections",
                 {}, [this] {

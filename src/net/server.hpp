@@ -9,16 +9,19 @@
 //   * pipelining: many outstanding request ids per connection, with a
 //     per-connection in-flight cap — past it the server stops reading that
 //     socket (kernel backpressure) until responses drain;
-//   * admission-queue backpressure: when the matchd runs workers, request
-//     processing goes through its bounded admission queue; a full queue is
-//     answered with ErrorCode::kBackpressure instead of queueing unboundedly.
-//     Workers encode each response and hand it back to the loop through a
-//     completion list. Only the push that finds the list empty writes the
-//     eventfd, so the loop is woken once per burst; a flush appends every
-//     response to its connection's buffer in list order, then resumes each
-//     connection it took below the in-flight cap once, then writes each
-//     connection it touched once. Without workers, requests are served
-//     inline — matchd's synchronous API is thread-safe and fast;
+//   * admission-queue backpressure: when the matchd runs workers, the
+//     estimates, feedbacks and cancels one drain of a connection's decoder
+//     yields are staged, then admitted into matchd's bounded admission
+//     queue by one call (one queue lock, one worker wake-up); a request the
+//     queue refuses is answered with ErrorCode::kBackpressure instead of
+//     queueing unboundedly. Workers encode each response into one shared
+//     completion buffer and list it there. Only the push that finds the
+//     list empty writes the eventfd, so the loop is woken once per burst;
+//     a flush swaps the list and the buffer out, appends every response to
+//     its connection's buffer in list order, then resumes each connection
+//     it took below the in-flight cap once, then writes each connection it
+//     touched once. Without workers, requests are served inline — matchd's
+//     synchronous API is thread-safe and fast;
 //   * idle reaping: connections silent past idle_timeout are closed;
 //   * a protocol error (bad magic, corrupt frame, malformed body) closes
 //     the connection — nothing after a broken frame can be trusted.
@@ -93,6 +96,9 @@ struct ServerStats {
   /// Connections a flush resumed from the pipeline cap: at most one per
   /// connection per flush.
   std::uint64_t pipeline_resumes = 0;
+  /// Calls that admitted a drain's staged requests into the matchd queue;
+  /// requests per admission = queued requests / admission_batches.
+  std::uint64_t admission_batches = 0;
 };
 
 class Server {
@@ -140,11 +146,18 @@ class Server {
     std::chrono::steady_clock::time_point last_active;
   };
 
-  /// A response encoded on a matchd worker thread, handed back to the
-  /// loop through the completion list.
+  /// A response a matchd worker encoded into the completion buffer,
+  /// handed back to the loop through the completion list.
   struct Completion {
     std::uint64_t serial = 0;
-    std::vector<char> bytes;
+    std::size_t offset = 0;  ///< first byte in the completion buffer
+    std::size_t length = 0;
+  };
+
+  /// What drain_decoder keeps of a staged request to answer a refusal.
+  struct Staged {
+    std::uint64_t request_id = 0;
+    std::chrono::steady_clock::time_point t0;
   };
 
   void loop();
@@ -152,14 +165,24 @@ class Server {
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);
   void drain_decoder(Conn& conn);
-  /// Serve one request; appends the response to conn.out or registers an
-  /// async completion. Returns false when the connection must close.
-  [[nodiscard]] bool serve(Conn& conn, Envelope&& envelope);
+  /// Serve one request: append the response to conn.out, or stage it for
+  /// admit_staged(). Returns false when the connection must close.
+  [[nodiscard]] bool serve(Conn& conn, const Envelope& envelope);
+  /// Stage an estimate, feedback or cancel for the matchd queue, counted
+  /// in conn.in_flight; false for any other request kind.
+  [[nodiscard]] bool stage(Conn& conn, const Envelope& envelope,
+                           std::chrono::steady_clock::time_point t0);
+  /// Admit everything staged with one matchd call, then answer each
+  /// refused request and give its pipeline slot back.
+  void admit_staged(Conn& conn);
   void serve_inline(Conn& conn, const Envelope& envelope,
                     std::chrono::steady_clock::time_point t0);
   void serve_match(Conn& conn, std::uint64_t request_id,
                    const MatchReq& req);
-  void post_completion(std::uint64_t serial, std::vector<char>&& bytes);
+  /// Worker side: encode one response into the completion buffer.
+  template <typename Body>
+  void post_completion(std::uint64_t serial, std::uint64_t request_id,
+                       const Body& body);
   void flush_completions();
   void try_write(Conn& conn);
   void update_epoll(Conn& conn);
@@ -186,11 +209,20 @@ class Server {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_serial_ = 16;  ///< below 16 = listener/eventfd slots
 
+  /// Requests the current drain_decoder call staged, with what answering a
+  /// refusal needs (index-aligned); empty between calls.
+  std::vector<svc::Matchd::Request> staged_;
+  std::vector<Staged> staged_info_;
+  std::vector<svc::PushResult> admit_results_;
+
   std::mutex completions_mutex_;
   std::vector<Completion> completions_;
+  std::vector<char> completion_bytes_;  ///< what completions_ points into
   /// Loop-thread side of the completion hand-off: flush_completions()
-  /// swaps completions_ into flushing_, and both keep their capacity.
+  /// swaps completions_ and completion_bytes_ into these, and all four
+  /// keep their capacity.
   std::vector<Completion> flushing_;
+  std::vector<char> flushing_bytes_;
   /// Serials of the connections a flush appended to, each listed once.
   std::vector<std::uint64_t> to_write_;
 
@@ -208,9 +240,10 @@ class Server {
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::size_t> open_conns_{0};
-  // Written by the loop thread only; not exported as metrics.
+  // Written by the loop thread only.
   std::atomic<std::uint64_t> completion_flushes_{0};
   std::atomic<std::uint64_t> pipeline_resumes_{0};
+  std::atomic<std::uint64_t> admission_batches_{0};
 
   obs::Histogram* latency_hist_ = nullptr;
   obs::Counter* request_counters_[9] = {};  ///< indexed by request MsgType

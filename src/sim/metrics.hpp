@@ -81,7 +81,4 @@ struct SimulationResult {
   }
 };
 
-/// One-paragraph textual summary for logs.
-[[nodiscard]] std::string summarize(const SimulationResult& result);
-
 }  // namespace resmatch::sim

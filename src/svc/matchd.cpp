@@ -1,6 +1,7 @@
 #include "svc/matchd.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <filesystem>
 #include <future>
 #include <stdexcept>
@@ -282,31 +283,59 @@ void Matchd::apply(std::span<Op> ops, bool force_commit) {
 
 // --- asynchronous admission --------------------------------------------------
 
-PushResult Matchd::admit(Request&& request) {
-  if (!queue_) return PushResult::kClosed;
+std::size_t Matchd::admit(std::span<Request> requests,
+                          std::span<PushResult> results) {
+  assert(requests.size() == results.size());
+  if (!queue_) {
+    std::fill(results.begin(), results.end(), PushResult::kClosed);
+    return 0;
+  }
   // Injected admission failure reads as backpressure: callers already
   // handle kFull (MatchdEstimator falls back to the synchronous path), so
-  // the fault exercises the real rejection flow end to end.
-  if (util::fault(config_.durability.faults,
-                  util::FaultSite::kQueueAdmit)) {
-    async_rejected_full_.fetch_add(1, std::memory_order_relaxed);
-    return PushResult::kFull;
+  // the fault exercises the real rejection flow end to end. Checked once
+  // per request in arrival order; a faulted request is refused alone and
+  // the queue still offers a place to the ones behind it.
+  std::size_t offered = 0;
+  for (PushResult& result : results) {
+    result = util::fault(config_.durability.faults,
+                         util::FaultSite::kQueueAdmit)
+                 ? PushResult::kFull
+                 : PushResult::kOk;
+    if (result == PushResult::kOk) ++offered;
   }
-  if (queue_wait_hist_) request.admitted = std::chrono::steady_clock::now();
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  const PushResult result = queue_->try_push(std::move(request));
-  if (result == PushResult::kOk) {
-    async_accepted_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (result == PushResult::kFull) {
-      async_rejected_full_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t pushed = 0;
+  if (offered > 0) {
+    if (queue_wait_hist_) {
+      const auto now = std::chrono::steady_clock::now();
+      for (Request& request : requests) request.admitted = now;
     }
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      drained_.notify_all();
+    // Counted before the push: a worker may finish a request before
+    // push_bulk() returns.
+    in_flight_.fetch_add(offered, std::memory_order_acq_rel);
+    pushed = queue_->push_bulk(requests, results);
+    if (pushed > 0) {
+      async_accepted_.fetch_add(pushed, std::memory_order_relaxed);
     }
+    if (pushed < offered) release_in_flight(offered - pushed);
   }
+  const auto full = static_cast<std::uint64_t>(
+      std::count(results.begin(), results.end(), PushResult::kFull));
+  if (full > 0) async_rejected_full_.fetch_add(full, std::memory_order_relaxed);
+  return pushed;
+}
+
+PushResult Matchd::admit_one(Request&& request) {
+  PushResult result = PushResult::kOk;
+  (void)admit(std::span<Request>(&request, 1),
+              std::span<PushResult>(&result, 1));
   return result;
+}
+
+void Matchd::release_in_flight(std::size_t n) {
+  if (in_flight_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+    std::lock_guard<std::mutex> lock(drain_mutex_);
+    drained_.notify_all();
+  }
 }
 
 PushResult Matchd::submit_async(const trace::JobRecord& job,
@@ -315,7 +344,7 @@ PushResult Matchd::submit_async(const trace::JobRecord& job,
   request.kind = Request::Kind::kSubmit;
   request.job = job;
   request.on_decision = std::move(on_decision);
-  return admit(std::move(request));
+  return admit_one(std::move(request));
 }
 
 PushResult Matchd::feedback_async(const JobOutcome& outcome,
@@ -325,7 +354,7 @@ PushResult Matchd::feedback_async(const JobOutcome& outcome,
   request.job = outcome.job;
   request.fb = outcome.feedback;
   request.on_done = std::move(on_done);
-  return admit(std::move(request));
+  return admit_one(std::move(request));
 }
 
 PushResult Matchd::cancel_async(const trace::JobRecord& job, MiB granted,
@@ -335,7 +364,7 @@ PushResult Matchd::cancel_async(const trace::JobRecord& job, MiB granted,
   request.job = job;
   request.granted = granted;
   request.on_done = std::move(on_done);
-  return admit(std::move(request));
+  return admit_one(std::move(request));
 }
 
 void Matchd::worker_main(std::size_t /*worker_index*/) {
@@ -376,7 +405,8 @@ void Matchd::worker_main(std::size_t /*worker_index*/) {
 
     // Callbacks and completions in ARRIVAL order, outside every lock:
     // callbacks may re-enter the service (feedback_async from a decision
-    // callback is the common pattern).
+    // callback is the common pattern). The batch leaves the in-flight
+    // count once, after its last callback.
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Request& r = batch[i];
       if (r.kind == Request::Kind::kSubmit) {
@@ -384,11 +414,8 @@ void Matchd::worker_main(std::size_t /*worker_index*/) {
       } else if (r.on_done) {
         r.on_done();
       }
-      if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(drain_mutex_);
-        drained_.notify_all();
-      }
     }
+    release_in_flight(batch.size());
   }
 }
 

@@ -268,6 +268,31 @@ class Matchd {
   using SubmitCallback = std::function<void(const MatchDecision&)>;
   using DoneCallback = std::function<void()>;
 
+  /// One asynchronous request, as a caller stages it for admit().
+  struct Request {
+    enum class Kind { kSubmit, kFeedback, kCancel } kind = Kind::kSubmit;
+    trace::JobRecord job;
+    core::Feedback fb;           ///< kFeedback only
+    MiB granted = 0.0;           ///< kCancel only
+    SubmitCallback on_decision;  ///< kSubmit; runs on a worker thread
+    DoneCallback on_done;        ///< kFeedback, kCancel; null = none
+    /// Admission timestamp for the queue-wait histogram; admit() stamps
+    /// it when the service is instrumented.
+    std::chrono::steady_clock::time_point admitted{};
+  };
+
+  /// The one admission path. Admits `requests` in order under one queue
+  /// lock, with one in-flight add and one worker wake-up, and writes each
+  /// request's outcome to the same index of `results`:
+  ///   kOk     admitted and moved from; its callback runs on a worker;
+  ///   kFull   backpressure, NOT admitted: the queue filled up before this
+  ///           request, or an injected kQueueAdmit fault refused it alone
+  ///           (one check per request, in order);
+  ///   kClosed no running queue (no workers, or shutting down).
+  /// Refused requests are left intact. Returns the number admitted.
+  std::size_t admit(std::span<Request> requests,
+                    std::span<PushResult> results);
+
   /// Enqueue a submission; `on_decision` runs on a worker thread. kFull
   /// means backpressure (queue at capacity) — the job was NOT admitted.
   [[nodiscard]] PushResult submit_async(const trace::JobRecord& job,
@@ -356,18 +381,6 @@ class Matchd {
   void simulate_crash(bool leave_torn_tail = false);
 
  private:
-  struct Request {
-    enum class Kind { kSubmit, kFeedback, kCancel } kind = Kind::kSubmit;
-    trace::JobRecord job;
-    core::Feedback fb;
-    MiB granted = 0.0;
-    SubmitCallback on_decision;
-    DoneCallback on_done;
-    /// Admission timestamp for the queue-wait histogram; only stamped
-    /// when the service is instrumented.
-    std::chrono::steady_clock::time_point admitted{};
-  };
-
   /// One request as apply() sees it: inputs borrowed from the caller (a
   /// synchronous call's arguments or a drained Request's fields) and the
   /// result slots apply() fills in. A synchronous call builds one on its
@@ -396,7 +409,10 @@ class Matchd {
   /// A synchronous call: apply() on one request, timed into `latency`.
   void apply_sync(Op& op, obs::Histogram* latency);
   void worker_main(std::size_t worker_index);
-  [[nodiscard]] PushResult admit(Request&& request);
+  /// admit() on one request: the *_async calls.
+  [[nodiscard]] PushResult admit_one(Request&& request);
+  /// Retire `n` in-flight requests; the last one out wakes drain().
+  void release_in_flight(std::size_t n);
 
   void register_metrics();
   void unregister_metrics();

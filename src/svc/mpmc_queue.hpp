@@ -11,14 +11,22 @@
 // per-item work behind this queue (hash, shard lock, a few loads/stores)
 // is tens of nanoseconds, so queue sophistication is not where service
 // throughput comes from — shard striping in the store is (see
-// bench/micro_service.cpp for the measured scaling).
+// bench/micro_service.cpp for the measured scaling). What the queue does
+// owe its callers is cheap hand-off in bulk: push_bulk() admits a whole
+// batch under one lock with one notify, and the items live in a
+// power-of-two ring of slots. The ring doubles when a push finds it full,
+// up to the power of two at or above `capacity`, so it grows to the
+// queue's high-water mark once and a push allocates nothing after that.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,14 +49,44 @@ class BoundedMpmcQueue {
 
   /// Non-blocking push; never waits for space.
   PushResult try_push(T&& item) {
+    PushResult result = PushResult::kOk;
+    push_bulk(std::span<T>(&item, 1), std::span<PushResult>(&result, 1));
+    return result;
+  }
+
+  /// Non-blocking bulk push under one lock with one notify. Takes the
+  /// items whose `results` entry is kOk on entry, in order, and moves each
+  /// into the queue until it is full; every such item it could not take
+  /// gets kFull (at capacity) or kClosed (closed) and is left unmoved.
+  /// Items entered with any other result are skipped and keep it, so a
+  /// caller can refuse some of a batch itself. Returns the number pushed.
+  std::size_t push_bulk(std::span<T> items, std::span<PushResult> results) {
+    assert(items.size() == results.size());
+    std::size_t pushed = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::kClosed;
-      if (items_.size() >= capacity_) return PushResult::kFull;
-      items_.push_back(std::move(item));
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (results[i] != PushResult::kOk) continue;
+        if (closed_) {
+          results[i] = PushResult::kClosed;
+        } else if (count_ >= capacity_) {
+          results[i] = PushResult::kFull;
+        } else {
+          if (count_ == ring_.size()) grow();
+          ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(items[i]);
+          ++count_;
+          ++pushed;
+        }
+      }
     }
-    not_empty_.notify_one();
-    return PushResult::kOk;
+    // One item wakes one consumer; a batch may be more than one consumer's
+    // pop, so it wakes them all.
+    if (pushed == 1) {
+      not_empty_.notify_one();
+    } else if (pushed > 1) {
+      not_empty_.notify_all();
+    }
+    return pushed;
   }
 
   /// Blocking bulk pop: waits for at least one item (or close), then
@@ -64,11 +102,13 @@ class BoundedMpmcQueue {
     if (max == 0) max = 1;
     std::size_t taken = 0;
     std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
+    not_empty_.wait(lock, [&] { return count_ != 0 || closed_; });
     const auto take = [&] {
-      while (!items_.empty() && taken < max) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
+      const std::size_t mask = ring_.size() - 1;
+      while (count_ != 0 && taken < max) {
+        out.push_back(std::move(ring_[head_]));
+        head_ = (head_ + 1) & mask;
+        --count_;
         ++taken;
       }
     };
@@ -78,14 +118,14 @@ class BoundedMpmcQueue {
       const auto deadline = std::chrono::steady_clock::now() + linger;
       while (taken < max && !closed_) {
         if (!not_empty_.wait_until(lock, deadline, [&] {
-              return !items_.empty() || closed_;
+              return count_ != 0 || closed_;
             })) {
           break;  // linger expired with no new arrivals
         }
         take();
       }
     }
-    const bool drained = items_.empty();
+    const bool drained = count_ == 0;
     lock.unlock();
     if (drained) maybe_drained_.notify_all();
     return taken;
@@ -109,12 +149,12 @@ class BoundedMpmcQueue {
   /// completions themselves.
   void wait_empty() {
     std::unique_lock<std::mutex> lock(mutex_);
-    maybe_drained_.wait(lock, [&] { return items_.empty(); });
+    maybe_drained_.wait(lock, [&] { return count_ == 0; });
   }
 
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
+    return count_;
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -125,11 +165,28 @@ class BoundedMpmcQueue {
   }
 
  private:
+  /// Double the ring (at least 16 slots, at most the power of two at or
+  /// above capacity_), unwrapping the items to the front of the new one.
+  /// Called with mutex_ held and the ring full.
+  void grow() {
+    const std::size_t slots =
+        std::min(std::max<std::size_t>(16, 2 * ring_.size()),
+                 std::bit_ceil(capacity_));
+    std::vector<T> grown(slots);
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable maybe_drained_;
-  std::deque<T> items_;
+  std::vector<T> ring_;  ///< slots; size 0 or a power of two
+  std::size_t head_ = 0;   ///< slot of the oldest item
+  std::size_t count_ = 0;  ///< items queued
   bool closed_ = false;
 };
 

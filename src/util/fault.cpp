@@ -4,21 +4,6 @@
 
 namespace resmatch::util {
 
-const char* fault_site_name(FaultSite site) noexcept {
-  switch (site) {
-    case FaultSite::kStoreRead: return "store-read";
-    case FaultSite::kStoreWrite: return "store-write";
-    case FaultSite::kSnapshotRename: return "snapshot-rename";
-    case FaultSite::kWalAppend: return "wal-append";
-    case FaultSite::kWalFsync: return "wal-fsync";
-    case FaultSite::kWalRotate: return "wal-rotate";
-    case FaultSite::kQueueAdmit: return "queue-admit";
-    case FaultSite::kThreadSpawn: return "thread-spawn";
-    case FaultSite::kCount: break;
-  }
-  return "unknown";
-}
-
 bool FaultInjector::should_fail(FaultSite site) noexcept {
   Site& s = sites_[index(site)];
   const std::uint64_t seq =

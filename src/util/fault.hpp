@@ -26,8 +26,7 @@
 
 namespace resmatch::util {
 
-/// Every operation the service layer can be told to fail. Keep in sync
-/// with fault_site_name().
+/// Every operation the service layer can be told to fail.
 enum class FaultSite : std::size_t {
   kStoreRead = 0,      ///< snapshot open/read (EstimatorStore::load_file)
   kStoreWrite,         ///< snapshot write (EstimatorStore::save_file)
@@ -39,8 +38,6 @@ enum class FaultSite : std::size_t {
   kThreadSpawn,        ///< worker-thread creation
   kCount,
 };
-
-[[nodiscard]] const char* fault_site_name(FaultSite site) noexcept;
 
 /// Per-site failure schedule.
 struct FaultSpec {

@@ -1120,6 +1120,45 @@ TEST(MatchdWalTest, QueueAdmitFaultReadsAsBackpressure) {
   EXPECT_GT(adapter.estimate(make_job(1), state), 0.0);
 }
 
+TEST(MatchdWalTest, QueueAdmitFaultRefusesEachStagedRequestAlone) {
+  // One staged batch, half its admission checks faulted: each request's
+  // outcome is the injector's decision for it, in arrival order, and a
+  // faulted request does not take the ones behind it down with it.
+  constexpr std::uint64_t kSeed = 23;
+  constexpr std::size_t kBatch = 64;
+  const util::FaultSpec half{0.5, UINT32_MAX};
+  util::FaultInjector injector(kSeed);
+  injector.arm(util::FaultSite::kQueueAdmit, half);
+  MatchdConfig config;
+  config.durability.faults = &injector;
+  config.workers = 1;
+  Matchd service(config);
+  service.set_ladder(test_ladder());
+
+  std::vector<Matchd::Request> batch(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) batch[i].job = make_job(i + 1);
+  std::vector<PushResult> results(kBatch);
+  const std::size_t admitted = service.admit(batch, results);
+  service.drain();
+
+  util::FaultInjector oracle(kSeed);
+  oracle.arm(util::FaultSite::kQueueAdmit, half);
+  std::size_t refused = 0;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    const bool faulted = oracle.should_fail(util::FaultSite::kQueueAdmit);
+    refused += faulted ? 1 : 0;
+    EXPECT_EQ(results[i], faulted ? PushResult::kFull : PushResult::kOk)
+        << "request " << i;
+  }
+  ASSERT_GT(refused, 0u);
+  ASSERT_LT(refused, kBatch);
+  EXPECT_EQ(admitted, kBatch - refused);
+  const MatchdStats stats = service.stats();
+  EXPECT_EQ(stats.async_accepted, admitted);
+  EXPECT_EQ(stats.async_rejected_full, refused);
+  EXPECT_EQ(stats.submissions, admitted);
+}
+
 // --- concurrency hammers (TSan targets) --------------------------------------
 
 TEST(MatchdWalTest, ConcurrentFeedbackAndCompactionHammer) {

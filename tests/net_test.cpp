@@ -1035,11 +1035,13 @@ TEST(Server, GarbageBytesCloseTheConnection) {
 /// Bare-socket pipelining client: queue() appends request frames (ids 1,
 /// 2, ...), and pump() writes them without waiting for answers while it
 /// decodes responses, checking each id is answered exactly once with the
-/// response type its request kind calls for.
+/// response type its request kind calls for (or, when `backpressure_ok`,
+/// with ErrorResp{kBackpressure} in its place).
 class PipelinedConn {
  public:
-  explicit PipelinedConn(const std::string& path)
-      : fd_(raw_uds_connect(path)) {
+  explicit PipelinedConn(const std::string& path,
+                         bool backpressure_ok = false)
+      : fd_(raw_uds_connect(path)), backpressure_ok_(backpressure_ok) {
     if (fd_ >= 0) (void)::fcntl(fd_, F_SETFL, O_NONBLOCK);
     net::encode_magic(out_);
   }
@@ -1056,6 +1058,10 @@ class PipelinedConn {
   [[nodiscard]] std::size_t answered() const noexcept { return answered_; }
   [[nodiscard]] std::size_t requests() const noexcept {
     return expect_.size();
+  }
+  /// Requests answered ErrorResp{kBackpressure}.
+  [[nodiscard]] std::size_t backpressured() const noexcept {
+    return backpressured_;
   }
 
   template <typename Req>
@@ -1127,7 +1133,11 @@ class PipelinedConn {
         return testing::AssertionFailure()
                << "id " << id << " answered twice";
       }
-      if (env.type != expect_[id - 1]) {
+      if (backpressure_ok_ && env.type == net::MsgType::kError &&
+          std::get<net::ErrorResp>(env.body).code ==
+              net::ErrorCode::kBackpressure) {
+        ++backpressured_;
+      } else if (env.type != expect_[id - 1]) {
         return testing::AssertionFailure()
                << "id " << id << " answered with type "
                << static_cast<int>(env.type) << ", expected "
@@ -1150,6 +1160,8 @@ class PipelinedConn {
   std::vector<bool> seen_;
   std::vector<MiB> grants_;
   std::size_t answered_ = 0;
+  bool backpressure_ok_;
+  std::size_t backpressured_ = 0;
 };
 
 /// Poll every connection until all its queued requests are answered.
@@ -1276,6 +1288,56 @@ TEST(Server, PipelinedAsyncCompletionsAnswerEveryRequestOnce) {
   }
 }
 
+TEST(Server, StagedAdmissionAnswersEveryRequestOnceUnderBackpressure) {
+  // Each read of a connection stages hundreds of estimates and feedbacks
+  // for one admission call, far more than the 16-slot queue holds, so
+  // most are refused. Every request must still get exactly one answer:
+  // its normal response if admitted, kBackpressure if refused.
+  constexpr std::size_t kConns = 2;
+  constexpr std::size_t kJobs = 500;  // estimate + feedback each
+  const fs::path dir = fresh_dir("staged");
+  svc::MatchdConfig remote_cfg = sync_config();
+  remote_cfg.workers = 1;
+  remote_cfg.queue_capacity = 16;
+  svc::Matchd remote(remote_cfg);
+  remote.set_ladder(test_ladder());
+  net::ServerConfig config;
+  config.uds_path = (dir / "matchd.sock").string();
+  config.max_pipeline = 2 * kJobs;  // the queue refuses, not the cap
+  net::Server server(remote, config);
+  ASSERT_TRUE(server.start());
+
+  std::vector<std::unique_ptr<PipelinedConn>> conns;
+  const std::vector<trace::JobRecord> jobs = small_workload(kJobs);
+  for (std::size_t c = 0; c < kConns; ++c) {
+    conns.push_back(std::make_unique<PipelinedConn>(config.uds_path,
+                                                    /*backpressure_ok=*/true));
+    ASSERT_GE(conns.back()->fd(), 0);
+    for (const trace::JobRecord& job : jobs) {
+      conns[c]->queue(net::EstimateReq{job}, net::MsgType::kEstimateResp);
+      conns[c]->queue(net::FeedbackReq{job, outcome_for(job, 32.0)},
+                      net::MsgType::kAck);
+    }
+  }
+  ASSERT_TRUE(
+      pump(conns, std::chrono::steady_clock::now() + std::chrono::seconds(60)));
+  std::size_t rejected = 0;
+  for (const auto& conn : conns) rejected += conn->backpressured();
+  conns.clear();
+  server.stop();
+
+  constexpr std::size_t kRequests = kConns * 2 * kJobs;
+  const svc::MatchdStats ms = remote.stats();
+  const net::ServerStats ss = server.stats();
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(ss.backpressure_rejects, rejected);
+  EXPECT_EQ(ms.async_rejected_full, rejected);
+  EXPECT_EQ(ms.async_accepted + rejected, kRequests);
+  EXPECT_EQ(ss.protocol_errors, 0u);
+  EXPECT_GE(ss.admission_batches, 1u);
+  fs::remove_all(dir);
+}
+
 TEST(Server, IdleConnectionsAreReaped) {
   const fs::path dir = fresh_dir("idle");
   svc::Matchd matchd(sync_config());
@@ -1322,7 +1384,9 @@ TEST(Server, ServesOverTcpEphemeralPort) {
 TEST(Server, ExportsNetMetrics) {
   const fs::path dir = fresh_dir("metrics");
   obs::Registry registry;
-  svc::Matchd matchd(sync_config());
+  svc::MatchdConfig matchd_cfg = sync_config();
+  matchd_cfg.workers = 1;  // the estimate goes through the admission queue
+  svc::Matchd matchd(matchd_cfg);
   matchd.set_ladder(test_ladder());
   net::ServerConfig config;
   config.uds_path = (dir / "matchd.sock").string();
@@ -1348,6 +1412,18 @@ TEST(Server, ExportsNetMetrics) {
     EXPECT_GE(lat->histogram.count, 1u);
     EXPECT_NE(snap.find("resmatch_net_connections"), nullptr);
     EXPECT_NE(snap.find("resmatch_net_bytes_read_total"), nullptr);
+    // One estimate: one admission call, one flush of its response, and no
+    // connection ever paused at the pipeline cap.
+    const auto* admissions =
+        snap.find("resmatch_net_admission_batches_total");
+    ASSERT_NE(admissions, nullptr);
+    EXPECT_EQ(admissions->value, 1.0);
+    const auto* flushes = snap.find("resmatch_net_completion_flushes_total");
+    ASSERT_NE(flushes, nullptr);
+    EXPECT_EQ(flushes->value, 1.0);
+    const auto* resumes = snap.find("resmatch_net_pipeline_resumes_total");
+    ASSERT_NE(resumes, nullptr);
+    EXPECT_EQ(resumes->value, 0.0);
   }
   // Destruction removes the providers so the registry outlives the server.
   EXPECT_EQ(registry.snapshot().find("resmatch_net_accepts_total"), nullptr);
@@ -1449,6 +1525,64 @@ TEST(Router, RoutesAcrossShardsWithDecisionEquivalence) {
 
   server0.stop();
   server1.stop();
+  fs::remove_all(dir);
+}
+
+TEST(Router, PreviewCancelAndCheckpointReachTheOwningShard) {
+  const fs::path dir = fresh_dir("router-verbs");
+  std::vector<std::unique_ptr<svc::Matchd>> shards;
+  std::vector<std::unique_ptr<net::Server>> servers;
+  std::vector<std::string> socks;
+  for (int i = 0; i < 2; ++i) {
+    const std::string tag = "shard" + std::to_string(i);
+    svc::MatchdConfig config = sync_config();
+    config.durability.wal_dir = (dir / (tag + "-wal")).string();
+    shards.push_back(std::make_unique<svc::Matchd>(config));
+    shards.back()->set_ladder(test_ladder());
+    net::ServerConfig server_cfg;
+    server_cfg.uds_path = (dir / (tag + ".sock")).string();
+    socks.push_back(server_cfg.uds_path);
+    servers.push_back(
+        std::make_unique<net::Server>(*shards.back(), server_cfg));
+    ASSERT_TRUE(servers.back()->start());
+  }
+  net::Router router(router_config(socks));
+  ASSERT_TRUE(router.connect().has_value());
+
+  // Warm every group, then compare previews with the owning shard's.
+  const auto jobs = small_workload(60);
+  std::vector<bool> owns(2, false);
+  for (const auto& job : jobs) (void)drive_job(router, job);
+  for (const auto& job : jobs) {
+    const std::size_t shard = router.shard_of(job);
+    owns[shard] = true;
+    EXPECT_EQ(router.preview(job), shards[shard]->preview(job))
+        << "job " << job.id;
+  }
+  EXPECT_TRUE(owns[0] && owns[1]) << "the workload should span both shards";
+
+  // A success at 32 makes the next submit a probe at 16; while it is out
+  // the group previews its safe 32. Cancelling the probe releases it.
+  const trace::JobRecord job = make_job(9001, 7, 7, 32.0, 5.0);
+  svc::Matchd& owner = *shards[router.shard_of(job)];
+  ASSERT_EQ(drive_job(router, job), 32.0);
+  const svc::MatchDecision probe = router.submit(job);
+  ASSERT_TRUE(probe.lowered);
+  ASSERT_EQ(probe.granted_mib, 16.0);
+  EXPECT_EQ(router.preview(job), 32.0);
+  router.cancel(job, probe.granted_mib);
+  EXPECT_EQ(router.preview(job), 16.0);
+  EXPECT_EQ(owner.preview(job), 16.0);
+  EXPECT_EQ(owner.stats().cancels, 1u);
+
+  // Checkpoint every shard: each leaves a compaction snapshot.
+  EXPECT_TRUE(router.checkpoint_all());
+  for (const auto& shard : shards) {
+    EXPECT_TRUE(fs::exists(shard->snapshot_path())) << shard->snapshot_path();
+    EXPECT_EQ(shard->stats().compactions, 1u);
+  }
+
+  for (auto& server : servers) server->stop();
   fs::remove_all(dir);
 }
 

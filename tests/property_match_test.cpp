@@ -20,16 +20,37 @@ class ExprGenerator {
   std::string expression(int depth = 0) {
     if (depth >= 4 || rng_.bernoulli(0.3)) return atom();
     switch (rng_.uniform_int(0, 5)) {
-      case 0:
-        return "(" + expression(depth + 1) + " " + binary_op() + " " +
-               expression(depth + 1) + ")";
+      // Built by appending (a `"(" + std::string&&` chain trips GCC 12's
+      // false -Wrestrict). Operands are drawn right to left, the order GCC
+      // evaluated that chain in, so every seed keeps its expressions.
+      case 0: {
+        const std::string rhs = expression(depth + 1);
+        const std::string op = binary_op();
+        std::string out = "(";
+        out += expression(depth + 1);
+        out += ' ';
+        out += op;
+        out += ' ';
+        out += rhs;
+        out += ')';
+        return out;
+      }
       case 1:
         return "!(" + expression(depth + 1) + ")";
       case 2:
         return "-(" + expression(depth + 1) + ")";
-      case 3:
-        return "(" + expression(depth + 1) + " ? " + expression(depth + 1) +
-               " : " + expression(depth + 1) + ")";
+      case 3: {
+        const std::string otherwise = expression(depth + 1);
+        const std::string then = expression(depth + 1);
+        std::string out = "(";
+        out += expression(depth + 1);
+        out += " ? ";
+        out += then;
+        out += " : ";
+        out += otherwise;
+        out += ')';
+        return out;
+      }
       case 4:
         return function_call(depth);
       default:

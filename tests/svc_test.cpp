@@ -10,6 +10,7 @@
 #include <deque>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -800,6 +801,106 @@ TEST(MpmcQueue, WaitEmptyWaitsForDrainEvenAfterClose) {
                 .count(),
             50)
       << "wait_empty returned before the consumer drained the queue";
+}
+
+TEST(MpmcQueue, RingWrapsAndGrowsInFifoOrderUpToCapacity) {
+  // Capacity 40: a ring of 16 slots, grown to 32, then to 64 (the power of
+  // two at or above 40), while the item count never passes 40.
+  BoundedMpmcQueue<int> queue(40);
+  int next = 0;
+  const auto push = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(queue.try_push(int{next++}), PushResult::kOk);
+    }
+  };
+  std::vector<int> out;
+  push(12);
+  ASSERT_EQ(queue.pop_bulk(out, 10), 10u);  // the head sits at slot 10 of 16
+  // 2 queued; 14 more wrap past the ring's end and fill it, and the 17th
+  // item grows it while the items are wrapped.
+  push(15);
+  ASSERT_EQ(queue.size(), 17u);
+  ASSERT_EQ(queue.pop_bulk(out, 5), 5u);
+
+  // A bulk push past the bound takes only the free room, in order. An item
+  // the caller refused itself is skipped and keeps its result.
+  std::vector<int> batch(30);
+  for (int& v : batch) v = next++;
+  std::vector<PushResult> results(batch.size(), PushResult::kOk);
+  results[3] = PushResult::kFull;
+  EXPECT_EQ(queue.push_bulk(batch, results), 28u);
+  EXPECT_EQ(queue.size(), 40u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const bool taken = i != 3 && i < 29;
+    EXPECT_EQ(results[i], taken ? PushResult::kOk : PushResult::kFull)
+        << "item " << i;
+  }
+  EXPECT_EQ(queue.try_push(99), PushResult::kFull);
+
+  // Items pushed before close() still drain, in FIFO order across every
+  // wrap and growth.
+  queue.close();
+  EXPECT_EQ(queue.try_push(99), PushResult::kClosed);
+  while (queue.pop_bulk(out, 7) != 0) {
+  }
+  std::vector<int> expected;
+  for (int v = 0; v < 27; ++v) expected.push_back(v);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (i != 3 && i < 29) expected.push_back(batch[i]);
+  }
+  EXPECT_EQ(out, expected);
+}
+
+TEST(Matchd, StagedBatchAdmitsInOrderUntilFullThenRefusesTheRest) {
+  MatchdConfig config;
+  config.workers = 1;
+  config.queue_capacity = 8;
+  Matchd service(config);
+  service.set_ladder(test_ladder());
+
+  // Park the worker inside a callback, so the queue is empty with all 8
+  // slots free and nothing drains it during the admission below.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_EQ(service.submit_async(make_job(32, 8),
+                                 [&](const MatchDecision&) {
+                                   parked.set_value();
+                                   released.wait();
+                                 }),
+            PushResult::kOk);
+  parked.get_future().wait();
+
+  constexpr std::size_t kBatch = 20;
+  std::vector<Matchd::Request> batch(kBatch);
+  std::vector<std::size_t> calls;  // written by the worker, read after drain
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    batch[i].job = make_job(32, 8);
+    batch[i].on_decision = [&calls, i](const MatchDecision&) {
+      calls.push_back(i);
+    };
+  }
+  std::vector<PushResult> results(kBatch);
+  EXPECT_EQ(service.admit(batch, results), 8u);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    EXPECT_EQ(results[i], i < 8 ? PushResult::kOk : PushResult::kFull)
+        << "request " << i;
+    // A refused request is left intact for the caller.
+    if (i >= 8) {
+      EXPECT_TRUE(static_cast<bool>(batch[i].on_decision));
+    }
+  }
+
+  release.set_value();
+  service.drain();
+  // Admitted ones ran once each, in arrival order; no refused one ran.
+  EXPECT_EQ(calls, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  const MatchdStats stats = service.stats();
+  EXPECT_EQ(stats.async_accepted, 1u + 8u);
+  EXPECT_EQ(stats.async_rejected_full, kBatch - 8);
+  EXPECT_EQ(stats.async_accepted + stats.async_rejected_full, 1 + kBatch);
+  EXPECT_EQ(stats.submissions, stats.async_accepted);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(EstimatorStore, PeekHammerNeverSeesTornState) {
