@@ -2,8 +2,7 @@
 """Compare two commits on one benchmark workload with interleaved pairs.
 
 Usage: bench_pairs.py BASE HEAD --workload W [--pairs N] [--first-seed S]
-                      [--seconds T] [--tiny] [--metric M] [--scratch DIR]
-                      [--record PATH]
+                      [--seconds T] [--tiny] [--scratch DIR] [--record PATH]
 
 Extracts each revision's tree (git archive) into its own directory under
 DIR, then runs N pairs of the command BENCHMARK.json declares,
@@ -15,7 +14,9 @@ Each side builds through its own perfbench/run.py with its own
 CARGO_TARGET_DIR; one throwaway --tiny run per side builds it before the
 first pair, so no build falls between the two runs of a pair. The
 extracted trees and their builds are removed afterwards. T defaults to
-BENCHMARK.json's run_seconds; --tiny forwards run.py's --tiny.
+BENCHMARK.json's run_seconds; --tiny forwards run.py's --tiny, and with
+it T defaults to the 2 s perfbench/test_bench.py runs tiny workloads
+for.
 
 Appends one entry to the "pairs" list of PATH (default BENCH_<W>.json in
 the repository root, created if missing):
@@ -34,8 +35,8 @@ the repository root, created if missing):
     "identical_per_seed": {metric: bool} for kill_rate and overprovision
   }
 
-The verdict for the claimed metric M (default throughput_per_s) follows
-one rule, stated in verdict(): HEAD gains when it leads in at least nine
+The verdict for the claimed metric, throughput_per_s, follows one rule,
+stated in verdict(): HEAD gains when it leads in at least nine
 tenths of the pairs (ties count for neither side) and its median beats
 BASE's by more than BASE's q1-q3 spread; "loss" is the mirror image;
 anything else is "no change". Every other end-to-end metric is checked
@@ -58,6 +59,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROVENANCE = "provenance: "
+TINY_SECONDS = 2.0
+CLAIMED = "throughput_per_s"
 # The gain rule: leads in at least this share of the pairs, and a median
 # gap wider than the base's interquartile spread.
 WIN_SHARE = 0.9
@@ -214,16 +217,16 @@ def main(argv):
     parser.add_argument("--workload", required=True, choices=known)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float,
-                        default=float(bench["run_seconds"]))
+    parser.add_argument("--seconds", type=float)
     parser.add_argument("--tiny", action="store_true")
-    parser.add_argument("--metric", default="throughput_per_s",
-                        choices=[m["name"] for m in bench["end_to_end"]])
     parser.add_argument("--scratch")
     parser.add_argument("--record")
     args = parser.parse_args(argv[1:])
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.seconds is None:
+        args.seconds = (TINY_SECONDS if args.tiny
+                        else float(bench["run_seconds"]))
 
     sides = {}
     for side, rev in (("base", args.base), ("head", args.head)):
@@ -269,19 +272,19 @@ def main(argv):
         shutil.rmtree(scratch, ignore_errors=True)
 
     entry = {"workload": args.workload, "seconds": args.seconds,
-             "tiny": args.tiny, "metric": args.metric}
+             "tiny": args.tiny, "metric": CLAIMED}
     for side, info in sides.items():
         entry[side] = {"rev": info["rev"], "sha": info["sha"],
                        "provenance": info.get("provenance")}
     entry["seeds"] = seeds
     entry["runs"] = runs
-    summarize(entry, bench["end_to_end"], args.metric)
+    summarize(entry, bench["end_to_end"], CLAIMED)
 
     path = args.record or os.path.join(ROOT, f"BENCH_{args.workload}.json")
     append_entry(path, args.workload, entry)
     s = entry["summary"]
     change = "n/a" if s["change"] is None else f"{100 * s['change']:+.1f}%"
-    print(f"{args.workload} {args.metric}: base median {s['base']['median']:g}"
+    print(f"{args.workload} {CLAIMED}: base median {s['base']['median']:g}"
           f" (q1 {s['base']['q1']:g}, q3 {s['base']['q3']:g}), head median "
           f"{s['head']['median']:g} ({change}); head leads {s['leads']} of "
           f"{s['pairs']}, trails {s['trails']}: {entry['verdict']}")
