@@ -2,7 +2,7 @@
 """Compare two commits on one benchmark workload with interleaved pairs.
 
 Usage: bench_pairs.py BASE HEAD --workload W [--pairs N] [--first-seed S]
-                      [--seconds T] [--tiny] [--scratch DIR] [--record PATH]
+                      [--tiny] [--scratch DIR] [--record PATH]
 
 Extracts each revision's tree (git archive) into its own directory under
 DIR, then runs N pairs of the command BENCHMARK.json declares,
@@ -13,10 +13,10 @@ pair i at seed S + i, once per side, alternating which side runs first.
 Each side builds through its own perfbench/run.py with its own
 CARGO_TARGET_DIR; one throwaway --tiny run per side builds it before the
 first pair, so no build falls between the two runs of a pair. The
-extracted trees and their builds are removed afterwards. T defaults to
-BENCHMARK.json's run_seconds; --tiny forwards run.py's --tiny, and with
-it T defaults to the 2 s perfbench/test_bench.py runs tiny workloads
-for.
+extracted trees and their builds are removed afterwards. T is
+BENCHMARK.json's run_seconds, the same for both sides; --tiny forwards
+run.py's --tiny, and with it T is the 2 s perfbench/test_bench.py runs
+tiny workloads for.
 
 Appends one entry to the "pairs" list of PATH (default BENCH_<W>.json in
 the repository root, created if missing):
@@ -29,19 +29,29 @@ the repository root, created if missing):
                      each side's end-to-end metric values, attempted, failed
     "summary":       {"base": {"median", "q1", "q3"}, "head": {...},
                       "change", "leads", "trails", "pairs"}
-    "verdict":       "gain" | "loss" | "no change"
+    "failed_share":  {"base", "head"}: failed / attempted over all runs
+    "verdict":       "gain" | "loss" | "no change" | "unresolved"
     "bounds":        {metric: {"base_median", "head_median", "change",
-                      "bound", "within"}} for every other end-to-end metric
+                      "bound", "within"}} for every end-to-end metric
     "identical_per_seed": {metric: bool} for kill_rate and overprovision
+    "pooled":        the same summary fields over every entry of the
+                     record for the same two commits and run length,
+                     this one included, plus "entries"; only when the
+                     record holds an earlier such entry
   }
 
 The verdict for the claimed metric, throughput_per_s, follows one rule,
 stated in verdict(): HEAD gains when it leads in at least nine
 tenths of the pairs (ties count for neither side) and its median beats
 BASE's by more than BASE's q1-q3 spread; "loss" is the mirror image;
-anything else is "no change". Every other end-to-end metric is checked
-against its BENCHMARK.json bound: HEAD's median may be worse than BASE's
-by at most that fraction.
+"unresolved" when that spread is wider than the metric's BENCHMARK.json
+bound and the two sides' runs overlap; anything else is "no change". A
+HEAD that fails a larger share of its operations than BASE reads "loss"
+whatever its metric. Every end-to-end metric, the claimed one included,
+is checked against its BENCHMARK.json bound: HEAD's median may be worse
+than BASE's by at most that fraction. The rule counts every pair run, so
+when the record already holds pairs of the same two commits, the pooled
+verdict is the one that counts.
 
 Exits 1, writing nothing, when a revision does not resolve, a build fails
 or a run prints no result line or reports "correct": false; 0 otherwise.
@@ -79,11 +89,13 @@ def quartiles(values):
     return q1, median, q3
 
 
-def verdict(base, head, better):
+def verdict(base, head, better, bound):
     """The pair rule for one metric: (verdict, leads, trails).
 
     base[i] and head[i] are pair i's two runs; better is "higher" or
-    "lower".
+    "lower"; bound is the metric's BENCHMARK.json bound, a fraction of
+    BASE's median. A BASE whose q1-q3 spread is wider than the bound is
+    too noisy to read unless one side's runs all beat the other's.
     """
     sign = 1.0 if better == "higher" else -1.0
     leads = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
@@ -92,6 +104,10 @@ def verdict(base, head, better):
     q1, base_median, q3 = quartiles(base)
     gap = sign * (statistics.median(head) - base_median)
     spread = q3 - q1
+    separated = (min(sign * h for h in head) > max(sign * b for b in base)
+                 or max(sign * h for h in head) < min(sign * b for b in base))
+    if spread > bound * abs(base_median) and not separated:
+        return "unresolved", leads, trails
     if leads >= needed and gap > spread:
         return "gain", leads, trails
     if trails >= needed and -gap > spread:
@@ -164,47 +180,90 @@ def side_values(result, end_to_end):
     return values
 
 
-def summarize(entry, end_to_end, metric):
-    """Fill in entry's summary, verdict, bounds and per-seed identity."""
+def summarize(runs, end_to_end, metric=CLAIMED):
+    """The summary, failed shares, verdict, bounds and per-seed identity
+    of `runs`, as a dict of entry fields."""
     spec = {m["name"]: m for m in end_to_end}
     better = spec[metric]["better"]
-    base = [r["base"][metric] for r in entry["runs"]]
-    head = [r["head"][metric] for r in entry["runs"]]
-    result, leads, trails = verdict(base, head, better)
+    base = [r["base"][metric] for r in runs]
+    head = [r["head"][metric] for r in runs]
+    result, leads, trails = verdict(base, head, better,
+                                    spec[metric]["bound"])
+    failed = {side: sum(r[side]["failed"] for r in runs)
+              / max(1, sum(r[side]["attempted"] for r in runs))
+              for side in ("base", "head")}
+    if failed["head"] > failed["base"]:
+        result = "loss"
     bq1, bmed, bq3 = quartiles(base)
     hq1, hmed, hq3 = quartiles(head)
-    entry["better"] = better
-    entry["summary"] = {
-        "base": {"median": bmed, "q1": bq1, "q3": bq3},
-        "head": {"median": hmed, "q1": hq1, "q3": hq3},
-        "change": (hmed - bmed) / abs(bmed) if bmed else None,
-        "leads": leads, "trails": trails, "pairs": len(base)}
-    entry["verdict"] = result
-    entry["bounds"] = {}
+    bounds = {}
     for name, m in spec.items():
-        if name == metric or any(name not in r["base"] or name not in r["head"]
-                                 for r in entry["runs"]):
-            continue
-        entry["bounds"][name] = bound_check(
-            [r["base"][name] for r in entry["runs"]],
-            [r["head"][name] for r in entry["runs"]], m["better"], m["bound"])
-    entry["identical_per_seed"] = {
-        name: all(r["base"].get(name) == r["head"].get(name)
-                  for r in entry["runs"])
-        for name in SAME_PER_SEED}
+        if all(name in r["base"] and name in r["head"] for r in runs):
+            bounds[name] = bound_check([r["base"][name] for r in runs],
+                                       [r["head"][name] for r in runs],
+                                       m["better"], m["bound"])
+    return {
+        "better": better,
+        "summary": {
+            "base": {"median": bmed, "q1": bq1, "q3": bq3},
+            "head": {"median": hmed, "q1": hq1, "q3": hq3},
+            "change": (hmed - bmed) / abs(bmed) if bmed else None,
+            "leads": leads, "trails": trails, "pairs": len(base)},
+        "failed_share": failed,
+        "verdict": result,
+        "bounds": bounds,
+        "identical_per_seed": {
+            name: all(r["base"].get(name) == r["head"].get(name)
+                      for r in runs)
+            for name in SAME_PER_SEED}}
 
 
-def append_entry(path, workload, entry):
+def pool(entry, earlier, end_to_end):
+    """Set entry["pooled"] from the entries in `earlier` that compare the
+    same two commits at the same run length, when there are any."""
+    key = ("seconds", "tiny", "metric")
+    same = [e for e in earlier
+            if e["base"]["sha"] == entry["base"]["sha"]
+            and e["head"]["sha"] == entry["head"]["sha"]
+            and all(e.get(k) == entry.get(k) for k in key)]
+    if same:
+        runs = [r for e in same for r in e["runs"]] + entry["runs"]
+        entry["pooled"] = {"entries": len(same) + 1,
+                           **summarize(runs, end_to_end)}
+
+
+def append_entry(path, workload, entry, end_to_end):
+    """Append `entry` to the "pairs" list of the record at `path` (created
+    if missing), pooling it first with the list's earlier entries."""
     record = {"workload": workload}
     if os.path.exists(path):
         with open(path) as f:
             record = json.load(f)
-    record.setdefault("pairs", []).append(entry)
+    pairs = record.setdefault("pairs", [])
+    pool(entry, pairs, end_to_end)
+    pairs.append(entry)
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(record, f, indent=2)
         f.write("\n")
     os.replace(tmp, path)
+
+
+def report(label, fields):
+    s = fields["summary"]
+    change = "n/a" if s["change"] is None else f"{100 * s['change']:+.1f}%"
+    print(f"{label} {CLAIMED}: base median {s['base']['median']:g}"
+          f" (q1 {s['base']['q1']:g}, q3 {s['base']['q3']:g}), head median "
+          f"{s['head']['median']:g} ({change}); head leads {s['leads']} of "
+          f"{s['pairs']}, trails {s['trails']}: {fields['verdict']}")
+    failed = fields["failed_share"]
+    print(f"  failed share: base {failed['base']:g}, head {failed['head']:g}")
+    for name, b in fields["bounds"].items():
+        state = "within" if b["within"] else "BEYOND"
+        print(f"  {name}: {100 * b['change']:+.2f}% ({state} bound "
+              f"{100 * b['bound']:g}%)")
+    for name, same in fields["identical_per_seed"].items():
+        print(f"  {name} identical per seed: {'yes' if same else 'no'}")
 
 
 def main(argv):
@@ -217,16 +276,13 @@ def main(argv):
     parser.add_argument("--workload", required=True, choices=known)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--tiny", action="store_true")
     parser.add_argument("--scratch")
     parser.add_argument("--record")
     args = parser.parse_args(argv[1:])
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.seconds is None:
-        args.seconds = (TINY_SECONDS if args.tiny
-                        else float(bench["run_seconds"]))
+    seconds = TINY_SECONDS if args.tiny else float(bench["run_seconds"])
 
     sides = {}
     for side, rev in (("base", args.base), ("head", args.head)):
@@ -260,7 +316,7 @@ def main(argv):
                 info = sides[side]
                 log(f"pair {i + 1}/{args.pairs} seed {seed}: {side}")
                 outcome = run_once(info["tree"], info["build"],
-                                   args.workload, seed, args.seconds,
+                                   args.workload, seed, seconds,
                                    args.tiny)
                 if outcome is None:
                     return 1
@@ -271,29 +327,21 @@ def main(argv):
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    entry = {"workload": args.workload, "seconds": args.seconds,
+    entry = {"workload": args.workload, "seconds": seconds,
              "tiny": args.tiny, "metric": CLAIMED}
     for side, info in sides.items():
         entry[side] = {"rev": info["rev"], "sha": info["sha"],
                        "provenance": info.get("provenance")}
     entry["seeds"] = seeds
     entry["runs"] = runs
-    summarize(entry, bench["end_to_end"], CLAIMED)
+    entry.update(summarize(runs, bench["end_to_end"]))
 
     path = args.record or os.path.join(ROOT, f"BENCH_{args.workload}.json")
-    append_entry(path, args.workload, entry)
-    s = entry["summary"]
-    change = "n/a" if s["change"] is None else f"{100 * s['change']:+.1f}%"
-    print(f"{args.workload} {CLAIMED}: base median {s['base']['median']:g}"
-          f" (q1 {s['base']['q1']:g}, q3 {s['base']['q3']:g}), head median "
-          f"{s['head']['median']:g} ({change}); head leads {s['leads']} of "
-          f"{s['pairs']}, trails {s['trails']}: {entry['verdict']}")
-    for name, b in entry["bounds"].items():
-        state = "within" if b["within"] else "BEYOND"
-        print(f"  {name}: {100 * b['change']:+.2f}% ({state} bound "
-              f"{100 * b['bound']:g}%)")
-    for name, same in entry["identical_per_seed"].items():
-        print(f"  {name} identical per seed: {'yes' if same else 'no'}")
+    append_entry(path, args.workload, entry, bench["end_to_end"])
+    report(args.workload, entry)
+    if "pooled" in entry:
+        report(f"all {entry['pooled']['entries']} entries of these commits:"
+               f" {args.workload}", entry["pooled"])
     log(f"appended to {os.path.relpath(path, ROOT)}")
     return 0
 

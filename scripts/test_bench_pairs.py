@@ -20,59 +20,83 @@ import bench_ledger  # noqa: E402
 import bench_pairs  # noqa: E402
 
 BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+BOUND = 0.25  # throughput_per_s's bound; BASE's q1-q3 spread is 1.75%
 
 
 class Verdict(unittest.TestCase):
     def test_identical_runs_are_no_change(self):
-        self.assertEqual(bench_pairs.verdict(BASE, list(BASE), "higher"),
-                         ("no change", 0, 0))
+        self.assertEqual(
+            bench_pairs.verdict(BASE, list(BASE), "higher", BOUND),
+            ("no change", 0, 0))
 
     def test_clear_gain_in_every_pair(self):
         head = [v * 1.2 for v in BASE]
-        self.assertEqual(bench_pairs.verdict(BASE, head, "higher"),
+        self.assertEqual(bench_pairs.verdict(BASE, head, "higher", BOUND),
                          ("gain", 10, 0))
 
     def test_nine_of_ten_leads_are_enough(self):
         head = [v * 1.2 for v in BASE]
         head[4] = BASE[4] - 1.0
-        self.assertEqual(bench_pairs.verdict(BASE, head, "higher"),
+        self.assertEqual(bench_pairs.verdict(BASE, head, "higher", BOUND),
                          ("gain", 9, 1))
 
     def test_eight_of_ten_leads_are_not(self):
         head = [v * 1.2 for v in BASE]
         head[2] = BASE[2] - 1.0
         head[7] = BASE[7] - 1.0
-        self.assertEqual(bench_pairs.verdict(BASE, head, "higher")[0],
+        self.assertEqual(bench_pairs.verdict(BASE, head, "higher", BOUND)[0],
                          "no change")
 
     def test_ties_count_for_neither_side(self):
         head = [v * 1.2 for v in BASE]
         head[0] = BASE[0]
         head[1] = BASE[1]
-        self.assertEqual(bench_pairs.verdict(BASE, head, "higher"),
+        self.assertEqual(bench_pairs.verdict(BASE, head, "higher", BOUND),
                          ("no change", 8, 0))
 
     def test_lead_inside_the_base_spread_is_no_change(self):
         # Every pair leads by 0.5, inside the base's q1-q3 spread of 1.75.
         head = [v + 0.5 for v in BASE]
-        self.assertEqual(bench_pairs.verdict(BASE, head, "higher"),
+        self.assertEqual(bench_pairs.verdict(BASE, head, "higher", BOUND),
                          ("no change", 10, 0))
 
     def test_loss_mirrors_gain(self):
         head = [v * 0.8 for v in BASE]
-        self.assertEqual(bench_pairs.verdict(BASE, head, "higher"),
+        self.assertEqual(bench_pairs.verdict(BASE, head, "higher", BOUND),
                          ("loss", 0, 10))
 
     def test_lower_is_better_flips_the_direction(self):
         head = [v * 0.8 for v in BASE]
-        self.assertEqual(bench_pairs.verdict(BASE, head, "lower"),
+        self.assertEqual(bench_pairs.verdict(BASE, head, "lower", BOUND),
                          ("gain", 10, 0))
 
     def test_one_pair_needs_its_one_lead(self):
-        self.assertEqual(bench_pairs.verdict([1.0], [2.0], "higher"),
+        self.assertEqual(bench_pairs.verdict([1.0], [2.0], "higher", BOUND),
                          ("gain", 1, 0))
-        self.assertEqual(bench_pairs.verdict([1.0], [1.0], "higher"),
+        self.assertEqual(bench_pairs.verdict([1.0], [1.0], "higher", BOUND),
                          ("no change", 0, 0))
+
+
+    def test_base_spread_wider_than_the_bound_is_unresolved(self):
+        # sim-mr-backfill, seeds 21-25, with the machine contended: the
+        # base's q1-q3 spread is 26% of its median, past the 25% bound.
+        base = [1751982.0, 1266954.0, 1351169.0, 1806324.0, 1824286.0]
+        head = [1209090.0, 1379754.0, 1644708.0, 1671051.0, 1324139.0]
+        self.assertEqual(bench_pairs.verdict(base, head, "higher", BOUND),
+                         ("unresolved", 2, 3))
+
+    def test_wide_spread_still_reads_when_the_sides_do_not_overlap(self):
+        wide = [60.0, 80.0, 100.0, 120.0, 140.0] * 2  # spread 40% of 100
+        above = [v + 100.0 for v in wide]
+        below = [v * 0.4 for v in wide]
+        overlapping = [v + 30.0 for v in wide]
+        self.assertEqual(bench_pairs.verdict(wide, above, "higher", BOUND),
+                         ("gain", 10, 0))
+        self.assertEqual(bench_pairs.verdict(wide, below, "higher", BOUND),
+                         ("loss", 0, 10))
+        self.assertEqual(
+            bench_pairs.verdict(wide, overlapping, "higher", BOUND),
+            ("unresolved", 10, 0))
 
 
 class Bounds(unittest.TestCase):
@@ -99,33 +123,67 @@ class Bounds(unittest.TestCase):
                                                  0.1)["within"])
 
 
-class Summary(unittest.TestCase):
-    END_TO_END = [
-        {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
-        {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
-        {"name": "kill_rate", "better": "lower", "bound": 0.15},
-    ]
+END_TO_END = [
+    {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+    {"name": "kill_rate", "better": "lower", "bound": 0.15},
+]
 
+
+def make_runs(base, head, head_failed=0):
+    """Pairs of side values: head's peak RSS 19% above base's, kill_rate
+    equal per seed, and `head_failed` failures in head's first run."""
+    runs = []
+    for i, (b, h) in enumerate(zip(base, head)):
+        runs.append({
+            "seed": i + 1, "first": "base" if i % 2 == 0 else "head",
+            "base": {"throughput_per_s": b, "peak_rss_mib": 80.0,
+                     "kill_rate": 0.01 * (i + 1), "attempted": 1000,
+                     "failed": 0},
+            "head": {"throughput_per_s": h, "peak_rss_mib": 95.0,
+                     "kill_rate": 0.01 * (i + 1), "attempted": 1000,
+                     "failed": head_failed if i == 0 else 0}})
+    return runs
+
+
+class Summary(unittest.TestCase):
     def test_entry_fields(self):
-        runs = []
-        for i, b in enumerate(BASE):
-            runs.append({
-                "seed": i + 1, "first": "base" if i % 2 == 0 else "head",
-                "base": {"throughput_per_s": b, "peak_rss_mib": 80.0,
-                         "kill_rate": 0.01 * (i + 1)},
-                "head": {"throughput_per_s": b * 1.2, "peak_rss_mib": 95.0,
-                         "kill_rate": 0.01 * (i + 1)}})
-        entry = {"runs": runs}
-        bench_pairs.summarize(entry, self.END_TO_END, "throughput_per_s")
-        self.assertEqual(entry["verdict"], "gain")
-        self.assertEqual(entry["better"], "higher")
-        self.assertEqual(entry["summary"]["leads"], 10)
-        self.assertAlmostEqual(entry["summary"]["change"], 0.2)
-        self.assertEqual(sorted(entry["bounds"]),
-                         ["kill_rate", "peak_rss_mib"])
-        self.assertFalse(entry["bounds"]["peak_rss_mib"]["within"])
-        self.assertTrue(entry["bounds"]["kill_rate"]["within"])
-        self.assertTrue(entry["identical_per_seed"]["kill_rate"])
+        fields = bench_pairs.summarize(
+            make_runs(BASE, [v * 1.2 for v in BASE]), END_TO_END)
+        self.assertEqual(fields["verdict"], "gain")
+        self.assertEqual(fields["better"], "higher")
+        self.assertEqual(fields["summary"]["leads"], 10)
+        self.assertAlmostEqual(fields["summary"]["change"], 0.2)
+        self.assertEqual(fields["failed_share"], {"base": 0.0, "head": 0.0})
+        self.assertFalse(fields["bounds"]["peak_rss_mib"]["within"])
+        self.assertTrue(fields["bounds"]["kill_rate"]["within"])
+        self.assertTrue(fields["identical_per_seed"]["kill_rate"])
+
+    def test_the_claimed_metric_is_bound_checked_too(self):
+        fields = bench_pairs.summarize(
+            make_runs(BASE, [v * 0.7 for v in BASE]), END_TO_END)
+        self.assertEqual(sorted(fields["bounds"]),
+                         ["kill_rate", "peak_rss_mib", "throughput_per_s"])
+        self.assertFalse(fields["bounds"]["throughput_per_s"]["within"])
+        self.assertAlmostEqual(fields["bounds"]["throughput_per_s"]["change"],
+                               -0.3)
+
+    def test_more_failures_are_a_loss_whatever_the_metric(self):
+        fields = bench_pairs.summarize(
+            make_runs(BASE, [v * 1.2 for v in BASE], head_failed=1),
+            END_TO_END)
+        self.assertEqual(fields["verdict"], "loss")
+        self.assertEqual(fields["summary"]["leads"], 10)
+        self.assertEqual(fields["failed_share"],
+                         {"base": 0.0, "head": 1 / 10000})
+
+
+def entry_for(base_sha, head_sha, runs, seconds=30.0):
+    entry = {"workload": "w", "seconds": seconds, "tiny": False,
+             "metric": "throughput_per_s", "base": {"sha": base_sha},
+             "head": {"sha": head_sha}, "runs": runs}
+    entry.update(bench_pairs.summarize(runs, END_TO_END))
+    return entry
 
 
 class Records(unittest.TestCase):
@@ -133,14 +191,40 @@ class Records(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "BENCH_w.json")
             self.assertEqual(bench_ledger.kept_pairs(path), [])
-            bench_pairs.append_entry(path, "w", {"verdict": "gain"})
-            bench_pairs.append_entry(path, "w", {"verdict": "no change"})
+            gain = entry_for("a", "b", make_runs(BASE, [v * 1.2 for v in
+                                                        BASE]))
+            same = entry_for("a", "c", make_runs(BASE, list(BASE)))
+            bench_pairs.append_entry(path, "w", gain, END_TO_END)
+            bench_pairs.append_entry(path, "w", same, END_TO_END)
             with open(path) as f:
                 record = json.load(f)
             self.assertEqual(record["workload"], "w")
             self.assertEqual([e["verdict"] for e in record["pairs"]],
                              ["gain", "no change"])
+            self.assertNotIn("pooled", record["pairs"][1])
             self.assertEqual(bench_ledger.kept_pairs(path), record["pairs"])
+
+    def test_a_later_set_of_the_same_commits_is_pooled_with_the_first(self):
+        # A second set that gains on its own does not outvote a first set
+        # of the same two commits that did not: the rule counts every pair.
+        first = entry_for("a", "b", make_runs(BASE, [v - 0.5 for v in BASE]))
+        second = entry_for("a", "b", make_runs(BASE, [v * 1.2 for v in
+                                                      BASE]))
+        other_length = entry_for("a", "b", make_runs(BASE, list(BASE)),
+                                 seconds=2.0)
+        self.assertEqual(first["verdict"], "no change")
+        self.assertEqual(second["verdict"], "gain")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "BENCH_w.json")
+            for entry in (first, other_length, second):
+                bench_pairs.append_entry(path, "w", entry, END_TO_END)
+        self.assertNotIn("pooled", first)
+        self.assertNotIn("pooled", other_length)
+        pooled = second["pooled"]
+        self.assertEqual(pooled["entries"], 2)
+        self.assertEqual(pooled["summary"]["pairs"], 20)
+        self.assertEqual(pooled["summary"]["leads"], 10)
+        self.assertEqual(pooled["verdict"], "no change")
 
 
 if __name__ == "__main__":

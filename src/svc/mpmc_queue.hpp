@@ -14,13 +14,12 @@
 // bench/micro_service.cpp for the measured scaling). What the queue does
 // owe its callers is cheap hand-off in bulk: push_bulk() admits a whole
 // batch under one lock with one notify, and the items live in a
-// power-of-two ring of slots. The ring doubles when a push finds it full,
-// up to the power of two at or above `capacity`, so it grows to the
-// queue's high-water mark once and a push allocates nothing after that.
+// power-of-two ring of slots. The ring doubles when a push finds it full
+// and the queue below `capacity`, so it grows to the queue's high-water
+// mark once and a push allocates nothing after that.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -165,14 +164,12 @@ class BoundedMpmcQueue {
   }
 
  private:
-  /// Double the ring (at least 16 slots, at most the power of two at or
-  /// above capacity_), unwrapping the items to the front of the new one.
-  /// Called with mutex_ held and the ring full.
+  /// Double the ring (at least 16 slots), unwrapping the items to the
+  /// front of the new one. Called with mutex_ held, the ring full and the
+  /// queue below capacity_, so the ring never passes twice the high-water
+  /// mark, whatever the capacity.
   void grow() {
-    const std::size_t slots =
-        std::min(std::max<std::size_t>(16, 2 * ring_.size()),
-                 std::bit_ceil(capacity_));
-    std::vector<T> grown(slots);
+    std::vector<T> grown(std::max<std::size_t>(16, 2 * ring_.size()));
     for (std::size_t i = 0; i < count_; ++i) {
       grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
     }

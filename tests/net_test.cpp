@@ -1382,52 +1382,61 @@ TEST(Server, ServesOverTcpEphemeralPort) {
 }
 
 TEST(Server, ExportsNetMetrics) {
-  const fs::path dir = fresh_dir("metrics");
-  obs::Registry registry;
-  svc::MatchdConfig matchd_cfg = sync_config();
-  matchd_cfg.workers = 1;  // the estimate goes through the admission queue
-  svc::Matchd matchd(matchd_cfg);
-  matchd.set_ladder(test_ladder());
-  net::ServerConfig config;
-  config.uds_path = (dir / "matchd.sock").string();
-  config.metrics = &registry;
-  {
-    net::Server server(matchd, config);
-    ASSERT_TRUE(server.start());
-    net::Client client;
-    ASSERT_TRUE(client.connect_uds(config.uds_path).has_value());
-    ASSERT_TRUE(client.estimate(make_job(1, 1, 1, 16, 4)).has_value());
-    server.stop();
+  // The same estimate through a sync matchd, served inline, and through a
+  // one-worker matchd, admitted to the queue and answered by a completion.
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const fs::path dir = fresh_dir("metrics");
+    obs::Registry registry;
+    svc::MatchdConfig matchd_cfg = sync_config();
+    matchd_cfg.workers = workers;
+    svc::Matchd matchd(matchd_cfg);
+    matchd.set_ladder(test_ladder());
+    net::ServerConfig config;
+    config.uds_path = (dir / "matchd.sock").string();
+    config.metrics = &registry;
+    {
+      net::Server server(matchd, config);
+      ASSERT_TRUE(server.start());
+      net::Client client;
+      ASSERT_TRUE(client.connect_uds(config.uds_path).has_value());
+      ASSERT_TRUE(client.estimate(make_job(1, 1, 1, 16, 4)).has_value());
+      server.stop();
 
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    const auto* accepts = snap.find("resmatch_net_accepts_total");
-    ASSERT_NE(accepts, nullptr);
-    EXPECT_GE(accepts->value, 1.0);
-    const auto* reqs = snap.find("resmatch_net_requests_total",
-                                 {{"type", "estimate"}});
-    ASSERT_NE(reqs, nullptr);
-    EXPECT_GE(reqs->value, 1.0);
-    const auto* lat = snap.find("resmatch_net_request_latency_seconds");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_GE(lat->histogram.count, 1u);
-    EXPECT_NE(snap.find("resmatch_net_connections"), nullptr);
-    EXPECT_NE(snap.find("resmatch_net_bytes_read_total"), nullptr);
-    // One estimate: one admission call, one flush of its response, and no
-    // connection ever paused at the pipeline cap.
-    const auto* admissions =
-        snap.find("resmatch_net_admission_batches_total");
-    ASSERT_NE(admissions, nullptr);
-    EXPECT_EQ(admissions->value, 1.0);
-    const auto* flushes = snap.find("resmatch_net_completion_flushes_total");
-    ASSERT_NE(flushes, nullptr);
-    EXPECT_EQ(flushes->value, 1.0);
-    const auto* resumes = snap.find("resmatch_net_pipeline_resumes_total");
-    ASSERT_NE(resumes, nullptr);
-    EXPECT_EQ(resumes->value, 0.0);
+      const obs::MetricsSnapshot snap = registry.snapshot();
+      const auto* accepts = snap.find("resmatch_net_accepts_total");
+      ASSERT_NE(accepts, nullptr);
+      EXPECT_GE(accepts->value, 1.0);
+      const auto* reqs = snap.find("resmatch_net_requests_total",
+                                   {{"type", "estimate"}});
+      ASSERT_NE(reqs, nullptr);
+      EXPECT_GE(reqs->value, 1.0);
+      const auto* lat = snap.find("resmatch_net_request_latency_seconds");
+      ASSERT_NE(lat, nullptr);
+      EXPECT_GE(lat->histogram.count, 1u);
+      EXPECT_NE(snap.find("resmatch_net_connections"), nullptr);
+      EXPECT_NE(snap.find("resmatch_net_bytes_read_total"), nullptr);
+      // Inline: no admission and no completion. Queued: one admission
+      // call and one flush of its response. Neither pauses at the cap.
+      const double queued = workers > 0 ? 1.0 : 0.0;
+      const auto* admissions =
+          snap.find("resmatch_net_admission_batches_total");
+      ASSERT_NE(admissions, nullptr);
+      EXPECT_EQ(admissions->value, queued);
+      const auto* flushes =
+          snap.find("resmatch_net_completion_flushes_total");
+      ASSERT_NE(flushes, nullptr);
+      EXPECT_EQ(flushes->value, queued);
+      const auto* resumes = snap.find("resmatch_net_pipeline_resumes_total");
+      ASSERT_NE(resumes, nullptr);
+      EXPECT_EQ(resumes->value, 0.0);
+    }
+    // Destruction removes the providers so the registry outlives the
+    // server.
+    EXPECT_EQ(registry.snapshot().find("resmatch_net_accepts_total"),
+              nullptr);
+    fs::remove_all(dir);
   }
-  // Destruction removes the providers so the registry outlives the server.
-  EXPECT_EQ(registry.snapshot().find("resmatch_net_accepts_total"), nullptr);
-  fs::remove_all(dir);
 }
 
 // --- router ------------------------------------------------------------------

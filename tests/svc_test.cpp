@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -849,6 +850,26 @@ TEST(MpmcQueue, RingWrapsAndGrowsInFifoOrderUpToCapacity) {
     if (i != 3 && i < 29) expected.push_back(batch[i]);
   }
   EXPECT_EQ(out, expected);
+}
+
+TEST(MpmcQueue, UnboundedCapacityGrowsTheRingByDoubling) {
+  // The largest capacity stands for "no bound": the ring still grows by
+  // doubling from 16 slots, and every item wraps and drains in order.
+  BoundedMpmcQueue<int> queue(std::numeric_limits<std::size_t>::max());
+  int next = 0;
+  std::vector<int> out;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 45; ++i) {
+      ASSERT_EQ(queue.try_push(int{next++}), PushResult::kOk);
+    }
+    ASSERT_EQ(queue.pop_bulk(out, 30), 30u);
+  }
+  ASSERT_EQ(queue.size(), 60u);
+  queue.close();
+  while (queue.pop_bulk(out, 16) != 0) {
+  }
+  ASSERT_EQ(out.size(), 180u);
+  for (int v = 0; v < 180; ++v) EXPECT_EQ(out[v], v) << "item " << v;
 }
 
 TEST(Matchd, StagedBatchAdmitsInOrderUntilFullThenRefusesTheRest) {
