@@ -32,7 +32,7 @@ the repository root, created if missing):
     "failed_share":  {"base", "head"}: failed / attempted over all runs
     "verdict":       "gain" | "loss" | "no change" | "unresolved"
     "bounds":        {metric: {"base_median", "head_median", "change",
-                      "bound", "within"}} for every end-to-end metric
+                      "bound", "state"}} for every end-to-end metric
     "identical_per_seed": {metric: bool} for kill_rate and overprovision
     "pooled":        the same summary fields over every entry of the
                      record for the same two commits and run length,
@@ -41,17 +41,18 @@ the repository root, created if missing):
   }
 
 The verdict for the claimed metric, throughput_per_s, follows one rule,
-stated in verdict(): HEAD gains when it leads in at least nine
-tenths of the pairs (ties count for neither side) and its median beats
-BASE's by more than BASE's q1-q3 spread; "loss" is the mirror image;
-"unresolved" when that spread is wider than the metric's BENCHMARK.json
-bound and the two sides' runs overlap; anything else is "no change". A
+stated in verdict(): HEAD gains when it leads in at least nine tenths of
+the pairs (ties count for neither side) and its median beats BASE's by
+more than BASE's q1-q3 spread; "loss" is the mirror image; "unresolved"
+when that spread is wider than the metric's BENCHMARK.json bound and not
+every HEAD run beats every BASE run; anything else is "no change". A
 HEAD that fails a larger share of its operations than BASE reads "loss"
 whatever its metric. Every end-to-end metric, the claimed one included,
 is checked against its BENCHMARK.json bound: HEAD's median may be worse
-than BASE's by at most that fraction. The rule counts every pair run, so
-when the record already holds pairs of the same two commits, the pooled
-verdict is the one that counts.
+than BASE's by at most that fraction, and the check too reads
+"unresolved" when the runs are that noisy. The rule counts every pair
+run, so when the record already holds pairs of the same two commits, the
+pooled verdict is the one that counts.
 
 Exits 1, writing nothing, when a revision does not resolve, a build fails
 or a run prints no result line or reports "correct": false; 0 otherwise.
@@ -89,25 +90,31 @@ def quartiles(values):
     return q1, median, q3
 
 
+def unresolved(base, head, better, bound):
+    """Whether BASE's q1-q3 spread is wider than `bound` (a fraction of
+    BASE's median) while some HEAD run does not beat every BASE run: the
+    runs are then too noisy to tell a change from none."""
+    sign = 1.0 if better == "higher" else -1.0
+    q1, median, q3 = quartiles(base)
+    return (q3 - q1 > bound * abs(median)
+            and min(sign * h for h in head) <= max(sign * b for b in base))
+
+
 def verdict(base, head, better, bound):
     """The pair rule for one metric: (verdict, leads, trails).
 
     base[i] and head[i] are pair i's two runs; better is "higher" or
-    "lower"; bound is the metric's BENCHMARK.json bound, a fraction of
-    BASE's median. A BASE whose q1-q3 spread is wider than the bound is
-    too noisy to read unless one side's runs all beat the other's.
+    "lower"; bound is the metric's BENCHMARK.json bound.
     """
     sign = 1.0 if better == "higher" else -1.0
     leads = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
     trails = sum(1 for b, h in zip(base, head) if sign * (h - b) < 0)
+    if unresolved(base, head, better, bound):
+        return "unresolved", leads, trails
     needed = math.ceil(WIN_SHARE * len(base))
     q1, base_median, q3 = quartiles(base)
     gap = sign * (statistics.median(head) - base_median)
     spread = q3 - q1
-    separated = (min(sign * h for h in head) > max(sign * b for b in base)
-                 or max(sign * h for h in head) < min(sign * b for b in base))
-    if spread > bound * abs(base_median) and not separated:
-        return "unresolved", leads, trails
     if leads >= needed and gap > spread:
         return "gain", leads, trails
     if trails >= needed and -gap > spread:
@@ -117,7 +124,8 @@ def verdict(base, head, better, bound):
 
 def bound_check(base, head, better, bound):
     """How far HEAD's median moved from BASE's, and whether the worsening
-    stays within `bound` (a fraction of BASE's median)."""
+    stays within `bound` (a fraction of BASE's median): "within",
+    "beyond" or, when the runs are too noisy to tell, "unresolved"."""
     base_median = statistics.median(base)
     head_median = statistics.median(head)
     if base_median == 0:
@@ -126,8 +134,12 @@ def bound_check(base, head, better, bound):
     else:
         change = (head_median - base_median) / abs(base_median)
     worse = -change if better == "higher" else change
+    if unresolved(base, head, better, bound):
+        state = "unresolved"
+    else:
+        state = "within" if worse <= bound else "beyond"
     return {"base_median": base_median, "head_median": head_median,
-            "change": change, "bound": bound, "within": worse <= bound}
+            "change": change, "bound": bound, "state": state}
 
 
 def git(*args):
@@ -259,8 +271,7 @@ def report(label, fields):
     failed = fields["failed_share"]
     print(f"  failed share: base {failed['base']:g}, head {failed['head']:g}")
     for name, b in fields["bounds"].items():
-        state = "within" if b["within"] else "BEYOND"
-        print(f"  {name}: {100 * b['change']:+.2f}% ({state} bound "
+        print(f"  {name}: {100 * b['change']:+.2f}% ({b['state']}, bound "
               f"{100 * b['bound']:g}%)")
     for name, same in fields["identical_per_seed"].items():
         print(f"  {name} identical per seed: {'yes' if same else 'no'}")

@@ -85,7 +85,7 @@ class Verdict(unittest.TestCase):
         self.assertEqual(bench_pairs.verdict(base, head, "higher", BOUND),
                          ("unresolved", 2, 3))
 
-    def test_wide_spread_still_reads_when_the_sides_do_not_overlap(self):
+    def test_wide_spread_reads_only_when_every_head_run_is_better(self):
         wide = [60.0, 80.0, 100.0, 120.0, 140.0] * 2  # spread 40% of 100
         above = [v + 100.0 for v in wide]
         below = [v * 0.4 for v in wide]
@@ -93,34 +93,45 @@ class Verdict(unittest.TestCase):
         self.assertEqual(bench_pairs.verdict(wide, above, "higher", BOUND),
                          ("gain", 10, 0))
         self.assertEqual(bench_pairs.verdict(wide, below, "higher", BOUND),
-                         ("loss", 0, 10))
+                         ("unresolved", 0, 10))
         self.assertEqual(
             bench_pairs.verdict(wide, overlapping, "higher", BOUND),
             ("unresolved", 10, 0))
+        self.assertEqual(bench_pairs.verdict(wide, below, "lower", BOUND),
+                         ("gain", 10, 0))
 
 
 class Bounds(unittest.TestCase):
+    def state(self, base, head, better, bound):
+        return bench_pairs.bound_check(base, head, better, bound)["state"]
+
     def test_worsening_within_and_beyond_the_bound(self):
-        self.assertTrue(bench_pairs.bound_check(
-            [100.0], [80.0], "higher", 0.25)["within"])
-        self.assertFalse(bench_pairs.bound_check(
-            [100.0], [70.0], "higher", 0.25)["within"])
-        self.assertTrue(bench_pairs.bound_check(
-            [100.0], [109.0], "lower", 0.1)["within"])
-        self.assertFalse(bench_pairs.bound_check(
-            [100.0], [111.0], "lower", 0.1)["within"])
+        self.assertEqual(self.state([100.0], [80.0], "higher", 0.25),
+                         "within")
+        self.assertEqual(self.state([100.0], [70.0], "higher", 0.25),
+                         "beyond")
+        self.assertEqual(self.state([100.0], [109.0], "lower", 0.1),
+                         "within")
+        self.assertEqual(self.state([100.0], [111.0], "lower", 0.1),
+                         "beyond")
 
     def test_improvement_is_always_within(self):
         check = bench_pairs.bound_check([10.0, 12.0], [32.0, 34.0],
                                         "higher", 0.0)
-        self.assertTrue(check["within"])
+        self.assertEqual(check["state"], "within")
         self.assertAlmostEqual(check["change"], 2.0)
 
     def test_zero_base(self):
-        self.assertTrue(bench_pairs.bound_check([0.0], [0.0], "lower",
-                                                0.1)["within"])
-        self.assertFalse(bench_pairs.bound_check([0.0], [1.0], "lower",
-                                                 0.1)["within"])
+        self.assertEqual(self.state([0.0], [0.0], "lower", 0.1), "within")
+        self.assertEqual(self.state([0.0], [1.0], "lower", 0.1), "beyond")
+
+    def test_noisy_base_is_unresolved_not_within(self):
+        # BASE's q1-q3 spread is 20% of its median, past a 10% bound.
+        base = [80.0, 90.0, 100.0, 110.0, 120.0]
+        self.assertEqual(self.state(base, list(base), "lower", 0.1),
+                         "unresolved")
+        self.assertEqual(self.state(base, [v * 0.5 for v in base], "lower",
+                                    0.1), "within")
 
 
 END_TO_END = [
@@ -138,10 +149,10 @@ def make_runs(base, head, head_failed=0):
         runs.append({
             "seed": i + 1, "first": "base" if i % 2 == 0 else "head",
             "base": {"throughput_per_s": b, "peak_rss_mib": 80.0,
-                     "kill_rate": 0.01 * (i + 1), "attempted": 1000,
+                     "kill_rate": 0.02 + 0.0001 * i, "attempted": 1000,
                      "failed": 0},
             "head": {"throughput_per_s": h, "peak_rss_mib": 95.0,
-                     "kill_rate": 0.01 * (i + 1), "attempted": 1000,
+                     "kill_rate": 0.02 + 0.0001 * i, "attempted": 1000,
                      "failed": head_failed if i == 0 else 0}})
     return runs
 
@@ -155,8 +166,8 @@ class Summary(unittest.TestCase):
         self.assertEqual(fields["summary"]["leads"], 10)
         self.assertAlmostEqual(fields["summary"]["change"], 0.2)
         self.assertEqual(fields["failed_share"], {"base": 0.0, "head": 0.0})
-        self.assertFalse(fields["bounds"]["peak_rss_mib"]["within"])
-        self.assertTrue(fields["bounds"]["kill_rate"]["within"])
+        self.assertEqual(fields["bounds"]["peak_rss_mib"]["state"], "beyond")
+        self.assertEqual(fields["bounds"]["kill_rate"]["state"], "within")
         self.assertTrue(fields["identical_per_seed"]["kill_rate"])
 
     def test_the_claimed_metric_is_bound_checked_too(self):
@@ -164,7 +175,8 @@ class Summary(unittest.TestCase):
             make_runs(BASE, [v * 0.7 for v in BASE]), END_TO_END)
         self.assertEqual(sorted(fields["bounds"]),
                          ["kill_rate", "peak_rss_mib", "throughput_per_s"])
-        self.assertFalse(fields["bounds"]["throughput_per_s"]["within"])
+        self.assertEqual(fields["bounds"]["throughput_per_s"]["state"],
+                         "beyond")
         self.assertAlmostEqual(fields["bounds"]["throughput_per_s"]["change"],
                                -0.3)
 
