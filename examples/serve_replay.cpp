@@ -115,6 +115,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(crash.recovery.torn_files));
     std::printf("decisions:         %zu\n", crash.decisions);
     std::printf("mismatches:        %zu\n", crash.mismatches);
+    if (!crash.recovery_error.empty()) {
+      std::fprintf(stderr, "FAIL: recovery failed: %s\n",
+                   crash.recovery_error.c_str());
+      return 1;
+    }
     if (!crash.identical()) {
       std::fprintf(stderr,
                    "FAIL: recovered service diverged from fault-free run\n");

@@ -79,9 +79,6 @@ MiB BracketingEstimator::estimate(const trace::JobRecord& job,
     g.probe_outstanding = true;
     g.probe_grant = granted;
   }
-  if (config_.record_trajectories && g.grants.size() < config_.trajectory_cap) {
-    g.grants.push_back(granted);
-  }
   return granted;
 }
 
@@ -131,13 +128,6 @@ std::optional<MiB> BracketingEstimator::group_capacity(
   const auto gid = index_.find(job);
   if (!gid || *gid >= groups_.size()) return std::nullopt;
   return groups_[*gid].hi;
-}
-
-std::vector<MiB> BracketingEstimator::trajectory(
-    const trace::JobRecord& job) const {
-  const auto gid = index_.find(job);
-  if (!gid || *gid >= groups_.size()) return {};
-  return groups_[*gid].grants;
 }
 
 }  // namespace resmatch::core

@@ -33,9 +33,6 @@ struct BracketingConfig {
   /// Stop probing when hi/lo falls below this factor (the bracket is
   /// effectively tight even if the ladder would offer another rung).
   double convergence_ratio = 1.05;
-  /// Record per-group grant sequences (diagnostics).
-  bool record_trajectories = false;
-  std::size_t trajectory_cap = 256;
 };
 
 class BracketingEstimator final : public Estimator {
@@ -63,8 +60,6 @@ class BracketingEstimator final : public Estimator {
   [[nodiscard]] std::optional<MiB> group_capacity(
       const trace::JobRecord& job) const;
 
-  [[nodiscard]] std::vector<MiB> trajectory(const trace::JobRecord& job) const;
-
  private:
   struct GroupState {
     MiB lo = 0.0;   ///< largest grant known insufficient (0 = none yet)
@@ -72,7 +67,6 @@ class BracketingEstimator final : public Estimator {
     bool hi_confirmed = false;  ///< hi actually ran a job successfully
     bool probe_outstanding = false;
     MiB probe_grant = 0.0;
-    std::vector<MiB> grants;
   };
 
   GroupState& state_for(const trace::JobRecord& job);

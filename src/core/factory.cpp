@@ -31,9 +31,7 @@ std::unique_ptr<Estimator> make_estimator(const std::string& name,
     return std::make_unique<SuccessiveApproximationEstimator>(cfg);
   }
   if (name == "bracketing") {
-    BracketingConfig cfg;
-    cfg.record_trajectories = options.record_trajectories;
-    return std::make_unique<BracketingEstimator>(cfg);
+    return std::make_unique<BracketingEstimator>();
   }
   if (name == "last-instance") {
     LastInstanceConfig cfg;

@@ -108,7 +108,7 @@ std::array<double, 5> SaGroupState::to_fields() const {
 }
 
 std::optional<SaGroupState> SaGroupState::from_fields(
-    const std::vector<double>& fields) {
+    std::span<const double> fields) {
   if (fields.size() != 5) return std::nullopt;
   SaGroupState s;
   s.estimate = fields[0];
@@ -160,26 +160,6 @@ void LiGroupState::apply_feedback(const Feedback& fb, std::size_t window) {
       poisoned = false;  // we know the real requirement now
     }
   }
-}
-
-std::vector<double> LiGroupState::to_fields() const {
-  std::vector<double> out;
-  out.reserve(1 + recent_usage.size());
-  out.push_back(poisoned ? 1.0 : 0.0);
-  out.insert(out.end(), recent_usage.begin(), recent_usage.end());
-  return out;
-}
-
-std::optional<LiGroupState> LiGroupState::from_fields(
-    const std::vector<double>& fields) {
-  if (fields.empty()) return std::nullopt;
-  LiGroupState s;
-  s.poisoned = fields[0] != 0.0;
-  for (std::size_t i = 1; i < fields.size(); ++i) {
-    if (fields[i] < 0.0) return std::nullopt;
-    s.recent_usage.push_back(fields[i]);
-  }
-  return s;
 }
 
 }  // namespace resmatch::core

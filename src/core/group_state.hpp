@@ -10,16 +10,16 @@
 // so the offline and online paths cannot drift apart (the service's
 // 1-worker determinism contract depends on it).
 //
-// Each state is also a value type with a flat numeric wire form
-// (to_fields/from_fields) so svc::EstimatorStore can snapshot and restore
-// it for warm restarts.
+// SaGroupState is also a value type with a flat numeric form
+// (to_fields/from_fields): the fields of svc::Matchd's WAL records and
+// snapshots, and of the ensemble estimator's saved state.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "core/capacity_ladder.hpp"
 #include "core/estimator.hpp"
@@ -72,12 +72,13 @@ struct SaGroupState {
   /// failures). The concurrent hammer tests assert this per group.
   [[nodiscard]] bool invariants_hold() const noexcept;
 
-  // --- snapshot codec (svc::EstimatorStore) -------------------------------
-  static constexpr const char* kKind = "successive-approximation";
+  // --- flat form (WAL records and snapshots) ------------------------------
   /// Fixed-size, so the WAL append on the batch worker allocates nothing.
   [[nodiscard]] std::array<double, 5> to_fields() const;
+  /// nullopt unless `fields` is five values of a state that keeps the
+  /// invariants.
   [[nodiscard]] static std::optional<SaGroupState> from_fields(
-      const std::vector<double>& fields);
+      std::span<const double> fields);
 };
 
 /// Last-instance state of one similarity group (paper §2.3, explicit
@@ -99,12 +100,6 @@ struct LiGroupState {
 
   /// Fold one outcome into the window (see last_instance.cpp).
   void apply_feedback(const Feedback& fb, std::size_t window);
-
-  // --- snapshot codec (svc::EstimatorStore) -------------------------------
-  static constexpr const char* kKind = "last-instance";
-  [[nodiscard]] std::vector<double> to_fields() const;
-  [[nodiscard]] static std::optional<LiGroupState> from_fields(
-      const std::vector<double>& fields);
 };
 
 }  // namespace resmatch::core

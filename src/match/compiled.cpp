@@ -747,10 +747,6 @@ CompiledMatcher::RowResult CompiledMatcher::fallback_row(std::size_t row) {
   return out;
 }
 
-CompiledMatcher::RowResult CompiledMatcher::match_row(std::size_t row) {
-  return evaluate_row(row, /*requirements_decided_true=*/false);
-}
-
 CompiledMatcher::RowResult CompiledMatcher::evaluate_row(
     std::size_t row, bool requirements_decided_true) {
   using Tag = CVal::Tag;

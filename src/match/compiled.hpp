@@ -177,8 +177,6 @@ class CompiledMatcher {
     double rank = 0.0;  ///< the request's rank of the row (0 if absent /
                         ///< non-numeric), as rank_matches uses it
   };
-  [[nodiscard]] RowResult match_row(std::size_t row);
-
   /// Indices of matching rows, by descending request-rank, ties in row
   /// order — exactly rank_matches(request, table.machines()).
   [[nodiscard]] std::vector<std::size_t> rank_all();
@@ -278,8 +276,8 @@ class CompiledMatcher {
   [[nodiscard]] bool run(const Program& program, std::size_t row,
                          CVal& out);
   [[nodiscard]] RowResult fallback_row(std::size_t row);
-  /// match_row with the request-requirements verdict optionally already
-  /// decided TRUE by the prefilter's accept scan.
+  /// One row's verdict, with the request-requirements verdict optionally
+  /// already decided TRUE by the prefilter's accept scan.
   [[nodiscard]] RowResult evaluate_row(std::size_t row,
                                        bool requirements_decided_true);
   void extract_prefilter(const Expr& requirements);

@@ -192,7 +192,11 @@ CrashReplayResult crash_replay(const trace::Workload& workload,
     svc::Matchd service(config.matchd);
     service.set_ladder(ladder);
     auto recovery = service.recover();
-    if (recovery) result.recovery = recovery.value();
+    if (recovery) {
+      result.recovery = recovery.value();
+    } else {
+      result.recovery_error = recovery.error();
+    }
     for (std::size_t i = crash_after; i < workload.jobs.size(); ++i) {
       recovered.push_back(drive_job(service, workload.jobs[i]));
     }

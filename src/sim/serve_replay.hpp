@@ -91,10 +91,16 @@ struct CrashReplayResult {
   std::vector<ReplayDecision> first_mismatches;
   /// What the restarted service reconstructed from disk.
   svc::RecoveryStats recovery;
+  /// Why recover() failed; empty when it succeeded. The workload still
+  /// finishes (on whatever the failed recovery left in the store), but
+  /// the run is not identical.
+  std::string recovery_error;
   /// Counters of the restarted (post-recovery) service.
   svc::MatchdStats stats;
 
-  [[nodiscard]] bool identical() const noexcept { return mismatches == 0; }
+  [[nodiscard]] bool identical() const noexcept {
+    return mismatches == 0 && recovery_error.empty();
+  }
 };
 
 /// The durability contract, end to end: drive the workload (submit +

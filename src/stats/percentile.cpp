@@ -7,8 +7,6 @@ namespace resmatch::stats {
 
 void PercentileTracker::add(double x) { samples_.push_back(x); }
 
-void PercentileTracker::reserve(std::size_t n) { samples_.reserve(n); }
-
 double PercentileTracker::percentile(double p) const {
   if (samples_.empty()) return 0.0;
   const double clamped = std::clamp(p, 0.0, 100.0);

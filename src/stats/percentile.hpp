@@ -11,7 +11,6 @@ namespace resmatch::stats {
 class PercentileTracker {
  public:
   void add(double x);
-  void reserve(std::size_t n);
 
   /// Percentile in [0, 100] using linear interpolation between order
   /// statistics. Returns 0 when empty.

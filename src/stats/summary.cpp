@@ -1,7 +1,6 @@
 #include "stats/summary.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace resmatch::stats {
 
@@ -49,7 +48,5 @@ double Summary::mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
 double Summary::variance() const noexcept {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
-
-double Summary::stddev() const noexcept { return std::sqrt(variance()); }
 
 }  // namespace resmatch::stats

@@ -21,7 +21,6 @@ class Summary {
   [[nodiscard]] double mean() const noexcept;
   /// Sample variance (n-1 denominator); 0 when fewer than 2 samples.
   [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 

@@ -1,17 +1,16 @@
 // Shard-striped concurrent store of per-group estimator state.
 //
 // The online matchmaker keeps one state object per similarity group (a
-// core::SaGroupState or core::LiGroupState — anything with the
-// to_fields/from_fields/kKind snapshot codec). Concurrency is mutex-per-
-// shard: a group key hashes to one of `shards` stripes, and all work on
-// that group happens under its stripe's lock. Algorithm 1's transitions
-// are a handful of loads and stores, so the critical sections are tens of
-// nanoseconds and throughput scales with the shard count, not the worker
-// count (measured in bench/micro_service.cpp). Reads take the shard lock
-// too: peek() copies the group's state out under it, so a read never sees
-// a half-applied transition. Batch callers (matchd's bulk-drain worker
-// loop) use with_shard() to apply a whole run of same-shard transitions
-// under a single lock acquisition.
+// core::SaGroupState). Concurrency is mutex-per-shard: a group key hashes
+// to one of `shards` stripes, and all work on that group happens under
+// its stripe's lock. Algorithm 1's transitions are a handful of loads and
+// stores, so the critical sections are tens of nanoseconds and throughput
+// scales with the shard count, not the worker count (measured in
+// bench/micro_service.cpp). Reads take the shard lock too: peek() copies
+// the group's state out under it, so a read never sees a half-applied
+// transition. Batch callers (matchd's bulk-drain worker loop) use
+// with_shard() to apply a whole run of same-shard transitions under a
+// single lock acquisition.
 //
 // The store is bounded: each shard holds at most max_groups/shards entries
 // and evicts least-recently-used groups beyond that. Eviction forgets a
@@ -19,33 +18,21 @@
 // request, exactly like a first-seen group, so eviction degrades savings
 // but never correctness.
 //
-// Snapshot/restore writes a versioned CSV (header line carries format
-// version and state kind) so a restarted service re-enters operation warm,
-// the same motivation as the paper's §2.2 offline training phase.
+// Persistence lives outside the store: matchd writes it as WAL frames
+// (svc/wal.hpp), walking it with for_each() and refilling it with
+// restore().
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <iterator>
-#include <fstream>
 #include <list>
 #include <mutex>
 #include <optional>
-#include <ostream>
-#include <sstream>
-#include <string>
-#include <string_view>
-#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "util/expected.hpp"
-#include "util/fault.hpp"
-#include "util/strings.hpp"
 
 namespace resmatch::svc {
 
@@ -56,9 +43,6 @@ struct StoreConfig {
   /// max_groups/shards, so the realized bound is within one entry per
   /// shard of the configured total).
   std::size_t max_groups = 1 << 20;
-  /// Deterministic fault injection for snapshot I/O (save/load/rename).
-  /// Null = disabled; the paths then pay one null test each.
-  util::FaultInjector* faults = nullptr;
 };
 
 /// Counters of one stripe. Updated with relaxed atomics under the shard
@@ -78,17 +62,13 @@ struct StoreStats {
   std::vector<ShardStats> shards;
 };
 
-/// File format identity; version bumps when the row schema changes.
-inline constexpr const char* kStoreMagic = "resmatch-estimator-store";
-inline constexpr int kStoreVersion = 1;
-
 template <typename State>
 class EstimatorStore {
  private:
   struct Shard;  // fwd: LockedShard below borrows one locked stripe
 
  public:
-  explicit EstimatorStore(StoreConfig config = {}) : config_(config) {
+  explicit EstimatorStore(StoreConfig config = {}) {
     std::size_t n = 1;
     while (n < std::max<std::size_t>(config.shards, 1)) n <<= 1;
     // Shard is immovable (mutex + atomics); build the vector at its final
@@ -171,8 +151,10 @@ class EstimatorStore {
     return it->second->second;
   }
 
-  /// Visit every (key, state) pair, one shard lock at a time. `fn` must
-  /// not call back into the store (deadlock).
+  /// Visit every (key, state) pair, one shard lock at a time: shard by
+  /// shard, each from least to most recently used, so restore() calls in
+  /// this order rebuild every shard's eviction order. `fn` must not call
+  /// back into the store (deadlock).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Shard& shard : shards_) {
@@ -241,176 +223,28 @@ class EstimatorStore {
     return out;
   }
 
-  // --- snapshot / restore --------------------------------------------------
-
-  /// Write every entry as versioned CSV: a header line identifying format,
-  /// version and state kind, then one `key,field...` row per group in
-  /// least-to-most recently used order per shard (so a restore reproduces
-  /// each shard's eviction order). When `model` is non-null, a final
-  /// `model,field...` row carries the learned-model blob (the literal
-  /// first cell can never collide with an integer group key).
-  void save(std::ostream& out,
-            const std::vector<double>* model = nullptr) const {
-    out << kStoreMagic << ',' << kStoreVersion << ',' << State::kKind << '\n';
-    char buf[32];
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const auto& [key, state] : shard.entries) {
-        out << key;
-        for (const double field : state.to_fields()) {
-          std::snprintf(buf, sizeof(buf), "%.17g", field);
-          out << ',' << buf;
-        }
-        out << '\n';
-      }
-    }
-    if (model != nullptr) {
-      out << "model";
-      for (const double field : *model) {
-        std::snprintf(buf, sizeof(buf), "%.17g", field);
-        out << ',' << buf;
-      }
-      out << '\n';
-    }
-  }
-
-  /// Crash-safe snapshot: writes to `path + ".tmp"` in the same directory
-  /// and atomically renames over the target, so a crash (or any failure)
-  /// mid-save leaves the previous snapshot intact — never a truncated or
-  /// missing file. Single-writer: concurrent save_file calls on the same
-  /// path would share the temp name.
-  [[nodiscard]] bool save_file(const std::string& path,
-                               const std::vector<double>* model = nullptr) const {
-    if (util::fault(config_.faults, util::FaultSite::kStoreWrite)) {
-      return false;  // injected: writer failed before touching the disk
-    }
-    const std::string tmp = path + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) return false;
-      save(out, model);
-      out.flush();
-      if (!out) {
-        std::remove(tmp.c_str());
-        return false;
-      }
-    }
-    if (util::fault(config_.faults, util::FaultSite::kSnapshotRename) ||
-        std::rename(tmp.c_str(), path.c_str()) != 0) {
-      // Injected or real rename failure: the previous snapshot is intact
-      // by construction; drop the orphaned temp file.
-      std::remove(tmp.c_str());
-      return false;
-    }
-    return true;
-  }
-
-  /// Restore entries from a snapshot. The entry bound still holds (a
-  /// snapshot larger than the configured bound drops each shard's oldest
-  /// rows), but restoration is NOT traffic: it does not touch the
-  /// hit/miss/eviction counters, so a warm restart starts its hit-rate
-  /// metrics from zero instead of reporting one spurious miss per
-  /// restored group. Returns the number of group rows read, or a parse
-  /// error. When `model` is non-null and the snapshot carries a
-  /// `model,...` row, its fields are copied there (left untouched
-  /// otherwise — old snapshots simply lack the row); a model row in a
-  /// snapshot read without a `model` out-param is still parsed, then
-  /// skipped.
-  [[nodiscard]] util::Expected<std::size_t> load(
-      std::istream& in, std::vector<double>* model = nullptr) {
-    std::string line;
-    if (!std::getline(in, line)) {
-      return util::Expected<std::size_t>::failure("empty snapshot");
-    }
-    if (in.eof()) {
-      // save() writes '\n' after the header; a header ending at EOF means
-      // the snapshot was cut before its first row.
-      return util::Expected<std::size_t>::failure(
-          "truncated snapshot header: " + line);
-    }
-    std::istringstream header(line);
-    std::string magic, kind;
-    int version = 0;
-    if (!std::getline(header, magic, ',') || magic != kStoreMagic) {
-      return util::Expected<std::size_t>::failure(
-          "not an estimator-store snapshot");
-    }
-    if (!(header >> version) || version != kStoreVersion) {
-      return util::Expected<std::size_t>::failure(
-          "unsupported snapshot version: " + line);
-    }
-    header.ignore(1, ',');
-    if (!std::getline(header, kind) || kind != State::kKind) {
-      return util::Expected<std::size_t>::failure(
-          "snapshot holds '" + kind + "' state, store expects '" +
-          State::kKind + "'");
-    }
-
-    std::size_t restored = 0;
-    while (std::getline(in, line)) {
-      // save() terminates every row with '\n'. A final line that ends at
-      // EOF instead was cut mid-write (a crash or a partial copy): its
-      // last field may be silently chopped to a shorter, still-parseable
-      // number, so it must be rejected, not trusted. Callers with a WAL
-      // recover the lost rows by replay (svc::Matchd::recover).
-      if (in.eof()) {
-        return util::Expected<std::size_t>::failure(
-            "truncated trailing row (no newline): " + line);
-      }
-      if (line.empty()) continue;
-      // Every cell must parse in full: "16x" or "7junk" is a corrupt row,
-      // not a number with trailing noise to drop.
-      const std::vector<std::string_view> cells = util::split(line, ',');
-      const bool model_row = cells.front() == "model";
-      std::uint64_t key = 0;
-      if (!model_row) {
-        const std::string_view cell = cells.front();
-        const char* end = cell.data() + cell.size();
-        const auto [ptr, ec] = std::from_chars(cell.data(), end, key);
-        if (ec != std::errc{} || ptr != end) {
-          return util::Expected<std::size_t>::failure("bad key: " + line);
-        }
-      }
-      std::vector<double> fields;
-      for (std::size_t i = 1; i < cells.size(); ++i) {
-        const auto field = util::parse_double(cells[i]);
-        if (!field) {
-          return util::Expected<std::size_t>::failure("bad field: " + line);
-        }
-        fields.push_back(*field);
-      }
-      if (model_row) {
-        if (model != nullptr) *model = std::move(fields);
-        continue;  // not a group row; not counted in `restored`
-      }
-      auto state = State::from_fields(fields);
-      if (!state) {
-        return util::Expected<std::size_t>::failure("invalid state: " + line);
-      }
-      restore_entry(key, std::move(*state));
-      ++restored;
-    }
-    return restored;
-  }
-
-  [[nodiscard]] util::Expected<std::size_t> load_file(
-      const std::string& path, std::vector<double>* model = nullptr) {
-    if (util::fault(config_.faults, util::FaultSite::kStoreRead)) {
-      return util::Expected<std::size_t>::failure(
-          "injected store-read fault: " + path);
-    }
-    std::ifstream in(path);
-    if (!in) {
-      return util::Expected<std::size_t>::failure("cannot open " + path);
-    }
-    return load(in, model);
-  }
-
-  /// Insert-or-overwrite one entry without touching traffic counters —
-  /// the WAL replay path (and any other restoration source) feeds
-  /// recovered state through here. Same LRU bookkeeping as load().
+  /// Insert-or-overwrite one entry as the shard's most recently used,
+  /// the restoration path of snapshot load and WAL replay. The entry
+  /// bound still holds (restoring more than fits drops the shard's
+  /// oldest entries), but restoration is NOT traffic: it leaves the
+  /// hit/miss/eviction counters alone, so a warm restart starts its
+  /// hit-rate metrics from zero.
   void restore(std::uint64_t key, State state) {
-    restore_entry(key, std::move(state));
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      it->second->second = std::move(state);
+      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
+      return;
+    }
+    if (shard.entries.size() >= per_shard_cap_) {
+      const std::uint64_t evicted = shard.entries.front().first;
+      shard.index.erase(evicted);
+      shard.entries.pop_front();
+    }
+    shard.entries.emplace_back(key, std::move(state));
+    shard.index.emplace(key, std::prev(shard.entries.end()));
   }
 
  private:
@@ -480,27 +314,6 @@ class EstimatorStore {
     return true;
   }
 
-  /// Insert-or-overwrite for load(): the same LRU bookkeeping as
-  /// with_group, but silent — restoring a snapshot is bookkeeping, not
-  /// traffic, so it must not perturb hit/miss/eviction counters.
-  void restore_entry(std::uint64_t key, State state) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = std::move(state);
-      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
-      return;
-    }
-    if (shard.entries.size() >= per_shard_cap_) {
-      const std::uint64_t evicted = shard.entries.front().first;
-      shard.index.erase(evicted);
-      shard.entries.pop_front();
-    }
-    shard.entries.emplace_back(key, std::move(state));
-    shard.index.emplace(key, std::prev(shard.entries.end()));
-  }
-
   Shard& shard_for(std::uint64_t key) noexcept {
     return shards_[shard_of(key)];
   }
@@ -508,7 +321,6 @@ class EstimatorStore {
     return shards_[shard_of(key)];
   }
 
-  StoreConfig config_;
   std::vector<Shard> shards_;
   std::size_t mask_ = 0;
   std::size_t per_shard_cap_ = 1;

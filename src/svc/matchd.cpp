@@ -12,21 +12,12 @@ namespace {
 /// Grants within this tolerance are the same capacity rung (the same
 /// epsilon the simulator uses for its lowered-start accounting).
 constexpr double kGrantEps = 1e-9;
-
-/// The store is constructed in the initializer list, before the ctor body
-/// can thread the injector through — so splice it into the copied config.
-StoreConfig store_config_with_faults(StoreConfig store,
-                                     util::FaultInjector* faults) {
-  if (!store.faults) store.faults = faults;
-  return store;
-}
 }  // namespace
 
 Matchd::Matchd(MatchdConfig config)
     : config_(std::move(config)),
       key_fn_(config_.key_fn ? config_.key_fn : core::default_similarity_key),
-      store_(store_config_with_faults(config_.store,
-                                      config_.durability.faults)),
+      store_(config_.store),
       counters_(store_.shard_count()) {
   try {
     if (!config_.model_estimator.empty()) {
@@ -375,7 +366,7 @@ void Matchd::worker_main(std::size_t /*worker_index*/) {
   ops.reserve(batch_max);
   for (;;) {
     batch.clear();
-    if (queue_->pop_bulk(batch, batch_max, config_.batch_linger) == 0) {
+    if (queue_->pop_bulk(batch, batch_max) == 0) {
       return;  // closed and drained
     }
     batch_drains_.fetch_add(1, std::memory_order_relaxed);
@@ -678,12 +669,6 @@ MatchdStats Matchd::stats() const {
   return out;
 }
 
-std::optional<core::ModelStats> Matchd::model_stats() const {
-  if (!model_) return std::nullopt;
-  std::lock_guard<std::mutex> lock(model_mutex_);
-  return model_->model_stats();
-}
-
 std::vector<double> Matchd::model_state() const {
   if (!model_) return {};
   std::lock_guard<std::mutex> lock(model_mutex_);
@@ -699,18 +684,47 @@ std::size_t Matchd::invariant_violations() const {
 }
 
 bool Matchd::save_store(const std::string& path) const {
-  if (!model_) return store_.save_file(path);
-  std::vector<double> state;
-  {
-    std::lock_guard<std::mutex> lock(model_mutex_);
-    state = model_->save_state();
-  }
-  return store_.save_file(path, &state);
+  return write_snapshot(
+      path,
+      [this](const RecordSink& put) {
+        store_.for_each([&](std::uint64_t key, const core::SaGroupState& g) {
+          const auto fields = g.to_fields();
+          put(WalRecordType::kUpsert, key, fields.data(), fields.size());
+        });
+        if (model_) {
+          const std::vector<double> state = model_state();
+          put(WalRecordType::kModelState, 0, state.data(), state.size());
+        }
+      },
+      config_.durability.faults);
+}
+
+util::Expected<std::size_t> Matchd::load_snapshot(
+    const std::string& path, std::vector<double>& model_out) {
+  // Decode the whole file before touching the store: a snapshot refused
+  // at its last frame restores nothing.
+  std::vector<std::pair<std::uint64_t, core::SaGroupState>> groups;
+  const auto read = read_snapshot(
+      path,
+      [&](WalRecordType type, std::uint64_t key, const double* fields,
+          std::size_t n_fields) {
+        if (type == WalRecordType::kModelState) {
+          model_out.assign(fields, fields + n_fields);
+          return true;
+        }
+        const auto state = core::SaGroupState::from_fields({fields, n_fields});
+        if (state) groups.emplace_back(key, *state);
+        return state.has_value();
+      },
+      config_.durability.faults);
+  if (!read) return util::Expected<std::size_t>::failure(read.error());
+  for (const auto& [key, state] : groups) store_.restore(key, state);
+  return groups.size();
 }
 
 util::Expected<std::size_t> Matchd::restore_store(const std::string& path) {
   std::vector<double> state;
-  auto rows = store_.load_file(path, model_ ? &state : nullptr);
+  auto rows = load_snapshot(path, state);
   if (rows && model_ && !state.empty()) {
     std::lock_guard<std::mutex> lock(model_mutex_);
     if (!model_->load_state(state)) {
@@ -899,7 +913,7 @@ util::Expected<RecoveryStats> Matchd::recover(RecoverMode mode) {
     return Result::failure("matchd: recover() without a wal_dir");
   }
   RecoveryStats rs;
-  // Model state candidates: the snapshot's model row, overridden by the
+  // Model state candidates: the snapshot's model frame, overridden by the
   // LAST kModelState record the replay delivers (the log is strictly
   // newer than the snapshot it survived).
   std::vector<double> model_state;
@@ -911,7 +925,7 @@ util::Expected<RecoveryStats> Matchd::recover(RecoverMode mode) {
       const util::RetryResult rr = util::retry_with(
           config_.durability.retry,
           config_.durability.retry_seed ^ 0x5EC0FE7ULL, [&] {
-            rows = store_.load_file(snap, model_ ? &model_state : nullptr);
+            rows = load_snapshot(snap, model_state);
             return rows.has_value();
           });
       if (rr.attempts > 1) {
@@ -934,8 +948,7 @@ util::Expected<RecoveryStats> Matchd::recover(RecoverMode mode) {
           if (model_) model_state.assign(fields, fields + n_fields);
           return;
         }
-        auto state = core::SaGroupState::from_fields(
-            std::vector<double>(fields, fields + n_fields));
+        auto state = core::SaGroupState::from_fields({fields, n_fields});
         if (!state) {
           ++invalid;
           return;

@@ -24,16 +24,16 @@
 // by the proven capacity) — asserted by SaGroupState::invariants_hold in
 // the svc tests.
 //
-// Worker pool batching: each worker drains up to `batch_max` requests per
-// pop (waiting `batch_linger` for stragglers) and runs them through the
-// request path the synchronous API runs on one request: degraded
-// probes; then the transitions, sorted by store shard with every
-// shard run applied under ONE lock acquisition and its WAL frames
-// buffered in order; then one commit per distinct WAL file after the
-// locks are released; then the counters. The callers differ only in the
-// commit: a worker batch forces write+fsync (its commit point), a
-// synchronous call follows the WAL's flush/fsync cadence. batch_max=1
-// reproduces per-request commit points through the same code path.
+// Worker pool batching: each worker drains up to `batch_max` waiting
+// requests per pop and runs them through the request path the
+// synchronous API runs on one request: degraded probes; then the
+// transitions, sorted by store shard with every shard run applied under
+// ONE lock acquisition and its WAL frames buffered in order; then one
+// commit per distinct WAL file after the locks are released; then the
+// counters. The callers differ only in the commit: a worker batch forces
+// write+fsync (its commit point), a synchronous call follows the WAL's
+// flush/fsync cadence. batch_max=1 reproduces per-request commit points
+// through the same code path.
 //
 // Crash safety (opt-in via MatchdConfig::durability): every committed
 // group transition is framed into a per-shard write-ahead log (wal.hpp)
@@ -46,7 +46,8 @@
 // degraded operation sends one heartbeat probe that restores normal
 // service the moment the log accepts writes again. recover() rebuilds the
 // store from snapshot + WAL replay; checkpoint() compacts the log into a
-// fresh snapshot. See OPERATIONS.md for the operator-facing contract.
+// fresh snapshot, written in the WAL's own frames (wal.hpp). See
+// OPERATIONS.md for the operator-facing contract.
 #pragma once
 
 #include <atomic>
@@ -114,8 +115,8 @@ struct DurabilityConfig {
   /// retrying one file back off on different schedules. The seed changes
   /// sleep lengths only, never an outcome.
   std::uint64_t retry_seed = 0x5EEDBA5Eu;
-  /// Deterministic fault-injection hook, threaded into the store and the
-  /// WAL as well. Not owned; null = disabled (zero cost).
+  /// Deterministic fault-injection hook, threaded into the WAL and the
+  /// snapshot I/O as well. Not owned; null = disabled (zero cost).
   util::FaultInjector* faults = nullptr;
 };
 
@@ -136,9 +137,6 @@ struct MatchdConfig {
   /// batches amortize both costs. 1 = per-request commit points (the
   /// unbatched behavior, through the same code path).
   std::size_t batch_max = 32;
-  /// How long a partially filled batch waits for more arrivals before
-  /// processing. 0 (default) = never wait; latency traded for batch size.
-  std::chrono::microseconds batch_linger{0};
   /// Observability registry (not owned; must outlive the service). When
   /// set, the service exports latency histograms, queue-wait time,
   /// backpressure counters, and store hit/eviction/occupancy series under
@@ -159,7 +157,7 @@ struct MatchdConfig {
   /// never share a model), routes submit/preview/feedback/cancel through
   /// it under one model mutex, and persists the model's full serialized
   /// state on every mutation: a kModelState WAL frame (log shard 0, last
-  /// record wins) plus a `model` row in compaction snapshots, so
+  /// record wins) plus one in compaction snapshots, so
   /// recover() restores the estimator byte-identically. Model state
   /// frames grow with the model (the ensemble's with its group count);
   /// set DurabilityConfig::compact_every on long-running services so the
@@ -222,7 +220,7 @@ struct MatchdStats {
 
 /// What recover() reconstructed.
 struct RecoveryStats {
-  std::size_t snapshot_rows = 0;     ///< groups restored from snapshot.csv
+  std::size_t snapshot_rows = 0;     ///< groups restored from the snapshot
   std::uint64_t wal_records = 0;     ///< upserts replayed over the snapshot
   std::uint64_t wal_files = 0;       ///< log files visited
   std::uint64_t torn_files = 0;      ///< logs cut short at a torn tail
@@ -316,10 +314,15 @@ class Matchd {
   /// (must be 0 under any interleaving; the hammer test asserts it).
   [[nodiscard]] std::size_t invariant_violations() const;
 
-  /// Snapshot the estimator store for a warm restart (versioned CSV).
+  /// Snapshot the estimator store (and the model, if attached) for a warm
+  /// restart: write_snapshot's crash-safe file of WAL frames, each store
+  /// shard's groups from least to most recently used. The bytes depend on
+  /// the contents and their order only, so two stores that hold the same
+  /// groups in the same order save identical files.
   [[nodiscard]] bool save_store(const std::string& path) const;
-  /// Restore a snapshot; returns rows restored or a parse error. Call
-  /// before serving traffic.
+  /// Restore a snapshot; returns the groups restored or the reason the
+  /// file was refused (it then restores nothing). Call before serving
+  /// traffic.
   [[nodiscard]] util::Expected<std::size_t> restore_store(
       const std::string& path);
 
@@ -334,11 +337,8 @@ class Matchd {
   [[nodiscard]] bool model_enabled() const noexcept {
     return model_ != nullptr;
   }
-  /// Introspection snapshot of the attached model (nullopt without one, or
-  /// when the model exposes no stats).
-  [[nodiscard]] std::optional<core::ModelStats> model_stats() const;
   /// The attached model's serialized state (empty without one) — what the
-  /// next kModelState frame / snapshot model row would carry.
+  /// next kModelState frame would carry.
   [[nodiscard]] std::vector<double> model_state() const;
 
   // --- durability (active when config.durability.wal_dir is set) ----------
@@ -440,6 +440,11 @@ class Matchd {
   /// outside any shard lock.
   void maybe_compact();
   [[nodiscard]] bool checkpoint_locked();
+  /// Read the snapshot at `path` whole, then restore its groups into the
+  /// store (none if the file is refused). Its model blob, if any, goes to
+  /// `model_out` (meaningful only on success). Returns the groups restored.
+  [[nodiscard]] util::Expected<std::size_t> load_snapshot(
+      const std::string& path, std::vector<double>& model_out);
 
   /// Per-thread 1-in-N sampling decision for the latency histograms.
   [[nodiscard]] bool latency_sampled() const noexcept {

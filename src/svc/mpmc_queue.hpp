@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -89,40 +88,21 @@ class BoundedMpmcQueue {
   }
 
   /// Blocking bulk pop: waits for at least one item (or close), then
-  /// drains up to `max` items into `out`, preserving FIFO order. With a
-  /// positive `linger`, a partially filled batch waits up to that long
-  /// for more items before returning — latency traded for batch size.
-  /// Returns the number of items appended to `out`; 0 only when the
-  /// queue is closed AND fully drained (the consumer-exit signal), so
-  /// consumers process every accepted item before exiting.
-  std::size_t pop_bulk(std::vector<T>& out, std::size_t max,
-                       std::chrono::microseconds linger =
-                           std::chrono::microseconds{0}) {
+  /// drains up to `max` items into `out`, preserving FIFO order. Returns
+  /// the number of items appended to `out`; 0 only when the queue is
+  /// closed AND fully drained (the consumer-exit signal), so consumers
+  /// process every accepted item before exiting.
+  std::size_t pop_bulk(std::vector<T>& out, std::size_t max) {
     if (max == 0) max = 1;
     std::size_t taken = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return count_ != 0 || closed_; });
-    const auto take = [&] {
-      const std::size_t mask = ring_.size() - 1;
-      while (count_ != 0 && taken < max) {
-        out.push_back(std::move(ring_[head_]));
-        head_ = (head_ + 1) & mask;
-        --count_;
-        ++taken;
-      }
-    };
-    take();
-    if (taken == 0) return 0;  // closed and drained
-    if (taken < max && linger.count() > 0 && !closed_) {
-      const auto deadline = std::chrono::steady_clock::now() + linger;
-      while (taken < max && !closed_) {
-        if (!not_empty_.wait_until(lock, deadline, [&] {
-              return count_ != 0 || closed_;
-            })) {
-          break;  // linger expired with no new arrivals
-        }
-        take();
-      }
+    const std::size_t mask = ring_.size() - 1;
+    while (count_ != 0 && taken < max) {
+      out.push_back(std::move(ring_[head_]));
+      head_ = (head_ + 1) & mask;
+      --count_;
+      ++taken;
     }
     const bool drained = count_ == 0;
     lock.unlock();

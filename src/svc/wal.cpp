@@ -20,15 +20,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kFileMagic[8] = {'R', 'S', 'M', 'W', 'A', 'L', '0', '1'};
+constexpr std::size_t kMagicSize = 8;
+constexpr char kFileMagic[kMagicSize] = {'R', 'S', 'M', 'W',
+                                         'A', 'L', '0', '1'};
+constexpr char kSnapshotMagic[kMagicSize] = {'R', 'S', 'M', 'S',
+                                             'N', 'A', 'P', '1'};
 constexpr std::size_t kPayloadPrefix = 9;  // u8 type + u64 key
-/// Upper bound on one record's payload: guards replay against reading a
-/// garbage length as a multi-gigabyte allocation.
-constexpr std::uint32_t kMaxPayload = 1 << 20;
 
 /// A record payload must hold the type/key prefix plus whole f64 fields;
-/// anything else is a torn or foreign frame. Checked by replay before any
-/// payload bytes are read, exactly as the inline loop always did.
+/// anything else is a torn or foreign frame. Checked before any payload
+/// bytes are read.
 bool valid_record_len(std::uint32_t len) {
   return len >= kPayloadPrefix &&
          (len - kPayloadPrefix) % sizeof(double) == 0;
@@ -63,6 +64,100 @@ bool write_fully(int fd, const char* data, std::size_t len) {
     done += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// fsync a directory, making the entries created or renamed in it durable.
+bool sync_dir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+/// Append one record frame to `buf`, encoding the payload in place (no
+/// staging copy); frame_end patches the length and CRC over exactly the
+/// bytes that land on disk.
+void encode_record(std::vector<char>& buf, WalRecordType type,
+                   std::uint64_t key, const double* fields,
+                   std::size_t n_fields) {
+  buf.reserve(buf.size() + util::kFrameHeaderSize + kPayloadPrefix +
+              n_fields * sizeof(double));
+  const std::size_t mark = util::frame_begin(buf);
+  buf.push_back(static_cast<char>(type));
+  char kb[8];
+  std::memcpy(kb, &key, 8);
+  buf.insert(buf.end(), kb, kb + 8);
+  for (std::size_t i = 0; i < n_fields; ++i) {
+    char fb[8];
+    std::memcpy(fb, &fields[i], 8);
+    buf.insert(buf.end(), fb, fb + 8);
+  }
+  util::frame_end(buf, mark);
+}
+
+/// A stdio file that closes itself, so an exception from a caller's
+/// callback leaks no descriptor.
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+/// How read_records() left a file.
+enum class FileEnd {
+  kEof,       ///< every frame was good and accepted, up to the file's end
+  kNoFile,    ///< could not be opened
+  kBadMagic,  ///< shorter than the magic, or another magic
+  kBadFrame,  ///< a torn or corrupt frame, or a record `fn` refused
+};
+
+/// The one per-file frame loop of log replay and snapshot load: check the
+/// magic, then hand each frame's record to `fn` until the file's end or
+/// the first frame that is bad or that `fn` refuses. A frame's length is
+/// bounded by the bytes left in the file, which rejects a garbage length
+/// before it becomes an allocation and lets a frame of any size replay.
+FileEnd read_records(const std::string& path, const char* magic,
+                     const RecordFn& fn) {
+  const File f(std::fopen(path.c_str(), "rb"));
+  struct stat st {};
+  if (!f || ::fstat(::fileno(f.get()), &st) != 0) return FileEnd::kNoFile;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  char head[kMagicSize];
+  FileEnd end = FileEnd::kEof;
+  if (std::fread(head, 1, kMagicSize, f.get()) != kMagicSize ||
+      std::memcmp(head, magic, kMagicSize) != 0) {
+    end = FileEnd::kBadMagic;
+  }
+  std::uint64_t offset = kMagicSize;
+  std::vector<char> payload;
+  std::vector<double> fields;
+  while (end == FileEnd::kEof && offset < size) {
+    const std::uint64_t left = size - offset;
+    const std::uint64_t max_payload =
+        left > util::kFrameHeaderSize ? left - util::kFrameHeaderSize : 0;
+    if (util::read_frame(f.get(), payload,
+                         static_cast<std::uint32_t>(
+                             std::min<std::uint64_t>(max_payload, UINT32_MAX)),
+                         valid_record_len) != util::FrameReadStatus::kOk) {
+      end = FileEnd::kBadFrame;  // torn, corrupt, or a stub of a header
+      break;
+    }
+    offset += util::kFrameHeaderSize + payload.size();
+    const auto type =
+        static_cast<WalRecordType>(static_cast<std::uint8_t>(payload[0]));
+    std::uint64_t key = 0;
+    std::memcpy(&key, payload.data() + 1, 8);
+    // double has no alignment guarantee inside the payload; copy out.
+    fields.resize((payload.size() - kPayloadPrefix) / sizeof(double));
+    if (!fields.empty()) {
+      std::memcpy(fields.data(), payload.data() + kPayloadPrefix,
+                  fields.size() * sizeof(double));
+    }
+    if (!fn(type, key, fields.data(), fields.size())) {
+      end = FileEnd::kBadFrame;
+    }
+  }
+  return end;
 }
 
 }  // namespace
@@ -100,6 +195,9 @@ util::Expected<std::unique_ptr<Wal>> Wal::open(WalConfig config) {
       return Result::failure("cannot open WAL file " +
                              wal->file_path(wal->gen_, i));
     }
+  }
+  if (!sync_dir(wal->config_.dir)) {
+    return Result::failure("cannot fsync WAL directory " + wal->config_.dir);
   }
   return wal;
 }
@@ -155,22 +253,7 @@ std::size_t Wal::encode_locked(Shard& s, WalRecordType type,
                                std::uint64_t key, const double* fields,
                                std::size_t n_fields) {
   const std::size_t buf_before = s.buf.size();
-  // Encode the payload straight into the shard buffer (no staging copy);
-  // frame_end patches the length and CRC over exactly what lands on disk.
-  std::vector<char>& buf = s.buf;
-  buf.reserve(buf_before + util::kFrameHeaderSize + kPayloadPrefix +
-              n_fields * sizeof(double));
-  const std::size_t mark = util::frame_begin(buf);
-  buf.push_back(static_cast<char>(type));
-  char kb[8];
-  std::memcpy(kb, &key, 8);
-  buf.insert(buf.end(), kb, kb + 8);
-  for (std::size_t i = 0; i < n_fields; ++i) {
-    char fb[8];
-    std::memcpy(fb, &fields[i], 8);
-    buf.insert(buf.end(), fb, fb + 8);
-  }
-  util::frame_end(buf, mark);
+  encode_record(s.buf, type, key, fields, n_fields);
   ++s.pending_records;
   return buf_before;
 }
@@ -339,24 +422,25 @@ bool Wal::rotate() {
     }
   }
 
-  // Create every next-generation file before touching a live fd, so a
-  // partial failure leaves all shards serving their current files and no
-  // orphaned partial generation on disk — rotation stays retryable and
-  // appends keep working either way.
+  // Create every next-generation file, and make their entries durable,
+  // before touching a live fd, so a partial failure leaves all shards
+  // serving their current files and no orphaned partial generation on
+  // disk — rotation stays retryable and appends keep working either way.
   std::vector<int> new_fds(shards_.size(), -1);
+  const auto discard = [&](std::size_t created) {
+    for (std::size_t j = 0; j < created; ++j) {
+      ::close(new_fds[j]);
+      (void)::unlink(file_path(next, j).c_str());
+    }
+    return false;
+  };
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string path = file_path(next, i);
     if (!util::fault(config_.faults, util::FaultSite::kWalRotate)) {
-      new_fds[i] = create_log_file(path);
+      new_fds[i] = create_log_file(file_path(next, i));
     }
-    if (new_fds[i] < 0) {
-      for (std::size_t j = 0; j < i; ++j) {
-        ::close(new_fds[j]);
-        (void)::unlink(file_path(next, j).c_str());
-      }
-      return false;
-    }
+    if (new_fds[i] < 0) return discard(i);
   }
+  if (!sync_dir(config_.dir)) return discard(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];
     if (s.fd >= 0) ::close(s.fd);
@@ -418,19 +502,6 @@ void Wal::simulate_crash(bool leave_torn_tail) {
   crashed_ = true;
 }
 
-util::Expected<WalReplayStats> Wal::replay(
-    const std::string& dir,
-    const std::function<void(std::uint64_t, const double*, std::size_t)>&
-        fn) {
-  // Group-only view of the typed replay: model-state records are counted
-  // by the shared scan but not delivered.
-  return replay_typed(
-      dir, [&fn](WalRecordType type, std::uint64_t key, const double* fields,
-                 std::size_t n_fields) {
-        if (type == WalRecordType::kUpsert) fn(key, fields, n_fields);
-      });
-}
-
 util::Expected<WalReplayStats> Wal::replay_typed(
     const std::string& dir,
     const std::function<void(WalRecordType, std::uint64_t, const double*,
@@ -453,63 +524,107 @@ util::Expected<WalReplayStats> Wal::replay_typed(
     }
   }
 
-  std::vector<char> payload;
   for (const auto& [key, path] : files) {
     (void)key;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
+    const FileEnd end = read_records(
+        path, kFileMagic,
+        [&](WalRecordType type, std::uint64_t record_key,
+            const double* fields, std::size_t n_fields) {
+          if (type == WalRecordType::kHeartbeat) {
+            ++stats.heartbeats;
+            return true;
+          }
+          if (type != WalRecordType::kUpsert &&
+              type != WalRecordType::kModelState) {
+            return false;  // not a log record: read as a torn tail
+          }
+          ++(type == WalRecordType::kUpsert ? stats.records
+                                            : stats.model_records);
+          fn(type, record_key, fields, n_fields);
+          return true;
+        });
+    if (end == FileEnd::kNoFile) {
       return Result::failure("cannot open WAL file " + path);
     }
     ++stats.files;
-    char magic[sizeof(kFileMagic)];
-    if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
-        std::memcmp(magic, kFileMagic, sizeof(magic)) != 0) {
-      // Torn before the header finished (or not a WAL file at all):
-      // nothing to replay from it.
-      ++stats.torn_files;
-      std::fclose(f);
-      continue;
-    }
-    for (;;) {
-      const util::FrameReadStatus status =
-          util::read_frame(f, payload, kMaxPayload, valid_record_len);
-      if (status == util::FrameReadStatus::kEof) break;  // clean EOF
-      if (status == util::FrameReadStatus::kBad) {
-        ++stats.torn_files;
-        break;
-      }
-      const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-      const auto type = static_cast<WalRecordType>(
-          static_cast<std::uint8_t>(payload[0]));
-      if (type == WalRecordType::kHeartbeat) {
-        ++stats.heartbeats;
-        continue;
-      }
-      if (type != WalRecordType::kUpsert &&
-          type != WalRecordType::kModelState) {
-        ++stats.torn_files;
-        break;
-      }
-      std::uint64_t record_key = 0;
-      std::memcpy(&record_key, payload.data() + 1, 8);
-      const std::size_t n_fields = (len - kPayloadPrefix) / sizeof(double);
-      // double has no alignment guarantee inside the payload buffer;
-      // copy out.
-      std::vector<double> fields(n_fields);
-      if (n_fields > 0) {
-        std::memcpy(fields.data(), payload.data() + kPayloadPrefix,
-                    n_fields * sizeof(double));
-      }
-      fn(type, record_key, fields.data(), n_fields);
-      if (type == WalRecordType::kModelState) {
-        ++stats.model_records;
-      } else {
-        ++stats.records;
-      }
-    }
-    std::fclose(f);
+    // A magic cut short (a crash right after the create) or a bad frame:
+    // replay keeps the records before it and moves on.
+    if (end != FileEnd::kEof) ++stats.torn_files;
   }
   return stats;
+}
+
+bool write_snapshot(const std::string& path,
+                    const std::function<void(const RecordSink&)>& fill,
+                    util::FaultInjector* faults) {
+  if (util::fault(faults, util::FaultSite::kStoreWrite)) {
+    return false;  // injected: writer failed before touching the disk
+  }
+  const std::string tmp = path + ".tmp";
+  File f(std::fopen(tmp.c_str(), "wb"));
+  if (!f) return false;
+  std::vector<char> frame;
+  std::uint64_t records = 0;
+  const RecordSink put = [&](WalRecordType type, std::uint64_t key,
+                             const double* fields, std::size_t n_fields) {
+    frame.clear();
+    encode_record(frame, type, key, fields, n_fields);
+    std::fwrite(frame.data(), 1, frame.size(), f.get());
+    ++records;
+  };
+  std::fwrite(kSnapshotMagic, 1, kMagicSize, f.get());
+  fill(put);
+  put(WalRecordType::kSnapshotEnd, records, nullptr, 0);
+  bool ok = std::fflush(f.get()) == 0 && std::ferror(f.get()) == 0 &&
+            ::fsync(::fileno(f.get())) == 0;
+  ok = std::fclose(f.release()) == 0 && ok;
+  if (!ok || util::fault(faults, util::FaultSite::kSnapshotRename) ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    // The previous snapshot is intact by construction; drop the temp file.
+    std::remove(tmp.c_str());
+    return false;
+  }
+  const std::string dir = fs::path(path).parent_path().string();
+  return sync_dir(dir.empty() ? "." : dir);
+}
+
+util::Expected<std::uint64_t> read_snapshot(const std::string& path,
+                                            const RecordFn& fn,
+                                            util::FaultInjector* faults) {
+  using Result = util::Expected<std::uint64_t>;
+  if (util::fault(faults, util::FaultSite::kStoreRead)) {
+    return Result::failure("injected store-read fault: " + path);
+  }
+  std::uint64_t records = 0;
+  bool ended = false;
+  const FileEnd end = read_records(
+      path, kSnapshotMagic,
+      [&](WalRecordType type, std::uint64_t key, const double* fields,
+          std::size_t n_fields) {
+        if (ended) return false;  // nothing may follow the end frame
+        if (type == WalRecordType::kSnapshotEnd) {
+          ended = key == records && n_fields == 0;
+          return ended;
+        }
+        if (type != WalRecordType::kUpsert &&
+            type != WalRecordType::kModelState) {
+          return false;
+        }
+        if (!fn(type, key, fields, n_fields)) return false;
+        ++records;
+        return true;
+      });
+  if (end == FileEnd::kNoFile) {
+    return Result::failure("cannot open snapshot " + path);
+  }
+  if (end == FileEnd::kBadMagic) {
+    return Result::failure("bad snapshot magic (an older format?): " + path);
+  }
+  if (end != FileEnd::kEof || !ended) {
+    return Result::failure("corrupt or cut-short snapshot " + path +
+                           " after " + std::to_string(records) + " records");
+  }
+  return records;
 }
 
 }  // namespace resmatch::svc

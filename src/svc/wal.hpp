@@ -1,22 +1,23 @@
-// Write-ahead log for the estimator store.
+// Write-ahead log and compaction snapshot of the estimator store.
 //
 // Every committed mutation of a similarity group (submit/commit, feedback,
 // cancel) appends the group's full post-transition state as one CRC-framed
-// record to an append-only per-shard log file. Recovery is snapshot load +
-// replay of every log generation in order: records are whole-state
-// upserts, so replay is idempotent and the last record per key wins —
-// a crash between snapshots loses zero flushed feedback.
+// record to an append-only log file. Recovery is snapshot load + replay
+// of every log generation in order: records are whole-state upserts, so
+// replay is idempotent and the last record per key wins — a crash between
+// snapshots loses zero flushed feedback.
 //
 // File layout under the WAL directory:
 //
-//   snapshot.csv            versioned CSV snapshot (EstimatorStore::save)
-//   wal-<gen>-<shard>.log   append-only record log, one per store shard
+//   snapshot.csv            compaction snapshot (write_snapshot); the name
+//                           predates the format, which is WAL frames
+//   wal-<gen>-<shard>.log   append-only record log, one per WAL shard
 //
 // Generations: compaction rotates every shard to generation g+1 *before*
 // the snapshot is taken, so every record in generations <= g is already
 // reflected in the snapshot and those files can be deleted once the
-// snapshot rename succeeds. If the snapshot fails, old generations are
-// kept and recovery simply replays more records — compaction failure
+// snapshot is durably published. If the snapshot fails, old generations
+// are kept and recovery simply replays more records — compaction failure
 // costs disk space, never data.
 //
 // Frame format (host-endian; the log is a local durability artifact, not
@@ -25,19 +26,30 @@
 //   u32 payload_len | u32 crc32(payload) | payload
 //   payload = u8 type | u64 key | payload_len-9 bytes of raw f64 fields
 //
-// A torn tail (crash mid-append) fails the length or CRC check and replay
-// stops at the last good record of that file. Failed writes (injected or
-// real) are repaired by truncating the file back to the last durable
-// offset, so a retried append never leaves a torn frame mid-log. A failed
-// fsync is reported as an append failure too, but the record is already
-// in the file — a retry may duplicate it, which replay's last-wins upsert
-// semantics absorb.
+// A log file is the magic "RSMWAL01" followed by frames. A snapshot is the
+// magic "RSMSNAP1", one kUpsert frame per group (each store shard's groups
+// from least to most recently used), at most one kModelState frame, and a
+// kSnapshotEnd frame whose key is the number of frames before it. Both are
+// read by one frame loop; a frame's length is bounded by the bytes left in
+// its file, so a garbage length never becomes a huge allocation.
+//
+// A torn log tail (crash mid-append) fails the length or CRC check and
+// replay stops at the last good record of that file. A snapshot has no
+// torn tail: it is written to a temp file, fsynced and renamed into
+// place, so any bad frame, a missing end frame or a count mismatch fails
+// the load. Failed writes (injected or real) are repaired by truncating
+// the log back to the last durable offset, so a retried append never
+// leaves a torn frame mid-log. A failed fsync is reported as an append
+// failure too, but the record is already in the file — a retry may
+// duplicate it, which replay's last-wins upsert semantics absorb.
 //
 // Durability policy: `flush_every` buffers that many records in user
 // space before write(2); `fsync_every` bounds how many flushed records
 // may sit in the page cache before fsync(2). flush_every=1 (default)
 // makes every append survive a process crash; fsync_every=1 makes every
-// append survive power loss.
+// append survive power loss. The directory is fsynced after a
+// generation's files are created and after a snapshot is renamed, so no
+// acknowledged record sits in a file a power cut can unlink.
 #pragma once
 
 #include <atomic>
@@ -69,13 +81,24 @@ enum class WalRecordType : std::uint8_t {
   kUpsert = 1,      ///< full post-transition state of one group
   kHeartbeat = 2,   ///< durability probe; carries no state
   kModelState = 3,  ///< full learned-model state (key unused, last wins)
+  kSnapshotEnd = 4, ///< a snapshot's last frame; key = frames before it
 };
+
+/// One decoded record: type, key (0 for model state) and its fields.
+/// Return false to refuse it (the read then fails at this record).
+using RecordFn = std::function<bool(WalRecordType type, std::uint64_t key,
+                                    const double* fields,
+                                    std::size_t n_fields)>;
+/// Where write_snapshot's caller emits the snapshot's records.
+using RecordSink = std::function<void(WalRecordType type, std::uint64_t key,
+                                      const double* fields,
+                                      std::size_t n_fields)>;
 
 struct WalStats {
   std::uint64_t appends = 0;          ///< records accepted (buffered or written)
   std::uint64_t append_failures = 0;  ///< appends refused after repair
   std::uint64_t bytes_written = 0;
-  std::uint64_t fsyncs = 0;
+  std::uint64_t fsyncs = 0;  ///< of log files, not of the directory
   std::uint64_t rotations = 0;
 };
 
@@ -94,7 +117,8 @@ class Wal {
  public:
   /// Open (creating the directory if needed) and start a fresh generation
   /// strictly above every generation already on disk — existing files are
-  /// never appended to, only replayed or garbage-collected.
+  /// never appended to, only replayed or garbage-collected. Fails if a
+  /// file cannot be created or the directory cannot be fsynced after.
   [[nodiscard]] static util::Expected<std::unique_ptr<Wal>> open(
       WalConfig config);
 
@@ -149,9 +173,10 @@ class Wal {
 
   /// Rotate every shard to the next generation (flushing + fsyncing the
   /// old files). Compaction calls this immediately before snapshotting.
-  /// All next-generation files are created before any live fd is
-  /// replaced, so failure leaves every shard serving its current file and
-  /// no partial generation on disk — rotate() is always safe to retry.
+  /// All next-generation files are created, and the directory fsynced,
+  /// before any live fd is replaced, so failure leaves every shard serving
+  /// its current file and no partial generation on disk — rotate() is
+  /// always safe to retry.
   [[nodiscard]] bool rotate();
 
   /// Delete every log file of generations below the current one. Call
@@ -174,18 +199,10 @@ class Wal {
   void simulate_crash(bool leave_torn_tail = false);
 
   /// Replay every generation in `dir` in (generation, shard) order,
-  /// invoking `fn(key, fields, n_fields)` for each upsert record. Replay
-  /// of one file stops at the first bad frame (torn tail). A missing
-  /// directory is not an error (nothing to replay).
-  [[nodiscard]] static util::Expected<WalReplayStats> replay(
-      const std::string& dir,
-      const std::function<void(std::uint64_t key, const double* fields,
-                               std::size_t n_fields)>& fn);
-
-  /// Typed replay: like replay(), but delivers kModelState records too
-  /// (tagged by type). Heartbeats are still skipped. Callers that restore
-  /// learned-model state use this; replay() remains for group-only
-  /// consumers.
+  /// invoking `fn(type, key, fields, n_fields)` for each upsert and
+  /// model-state record; heartbeats are counted and skipped. Replay of one
+  /// file stops at the first bad frame (torn tail). A missing directory is
+  /// not an error (nothing to replay).
   [[nodiscard]] static util::Expected<WalReplayStats> replay_typed(
       const std::string& dir,
       const std::function<void(WalRecordType type, std::uint64_t key,
@@ -251,5 +268,28 @@ class Wal {
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> rotations_{0};
 };
+
+/// Publish a compaction snapshot at `path`: `fill(sink)` emits its records
+/// (kUpsert per group, then at most one kModelState), and the file gets
+/// the snapshot magic, those frames in emission order and the end frame.
+/// The bytes are a pure function of the emitted records. Written to
+/// `path + ".tmp"` in the same directory, fsynced, renamed over `path`,
+/// then the directory is fsynced: a failure at any step leaves the
+/// previous snapshot intact and returns false. Single-writer per path.
+/// `faults` fires kStoreWrite before the temp file is opened and
+/// kSnapshotRename in place of the rename.
+[[nodiscard]] bool write_snapshot(
+    const std::string& path, const std::function<void(const RecordSink&)>& fill,
+    util::FaultInjector* faults = nullptr);
+
+/// Read the snapshot at `path`, handing each group and model record to
+/// `fn` in file order. Fails, naming the file, on a missing file, a bad
+/// magic (a snapshot from before this format included), a bad frame, a
+/// record `fn` refuses, anything after the end frame, a missing end frame
+/// or a count mismatch. Returns the number of records delivered. `faults`
+/// fires kStoreRead before the file is opened.
+[[nodiscard]] util::Expected<std::uint64_t> read_snapshot(
+    const std::string& path, const RecordFn& fn,
+    util::FaultInjector* faults = nullptr);
 
 }  // namespace resmatch::svc

@@ -25,11 +25,6 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
-bool CliArgs::has(const std::string& key) const {
-  queried_[key] = true;
-  return values_.count(key) > 0;
-}
-
 std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {
   queried_[key] = true;

@@ -18,8 +18,6 @@ class CliArgs {
   /// Parse argv. Throws std::runtime_error on malformed options.
   CliArgs(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(const std::string& key) const;
-
   /// Typed getters with defaults. Throw std::runtime_error when the value
   /// is present but unparseable.
   [[nodiscard]] std::string get(const std::string& key,

@@ -28,8 +28,8 @@ namespace resmatch::util {
 
 /// Every operation the service layer can be told to fail.
 enum class FaultSite : std::size_t {
-  kStoreRead = 0,      ///< snapshot open/read (EstimatorStore::load_file)
-  kStoreWrite,         ///< snapshot write (EstimatorStore::save_file)
+  kStoreRead = 0,      ///< snapshot open/read (svc::read_snapshot)
+  kStoreWrite,         ///< snapshot write (svc::write_snapshot)
   kSnapshotRename,     ///< the atomic rename publishing a snapshot
   kWalAppend,          ///< write-ahead-log append (torn write, repaired)
   kWalFsync,           ///< fsync(2) of a WAL shard (record written, not durable)

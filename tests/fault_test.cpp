@@ -11,6 +11,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -84,9 +85,10 @@ MiB drive_job(Matchd& service, const trace::JobRecord& job) {
 }
 
 /// Jobs [first, first + count) as one block: every submission, then every
-/// job's explicit feedback in the same order. A service with workers takes
-/// each half through the admission queue and drains it; a synchronous
-/// service calls the API directly, so one job is drive_job.
+/// job's explicit feedback in the same order. A service with workers
+/// admits each half with one Matchd::admit call, which queues the whole
+/// half under one lock before a worker wakes, and drains it; a
+/// synchronous service calls the API directly, so one job is drive_job.
 std::vector<MiB> drive_block(Matchd& service, std::uint64_t first,
                              std::size_t count) {
   std::vector<trace::JobRecord> jobs;
@@ -94,32 +96,39 @@ std::vector<MiB> drive_block(Matchd& service, std::uint64_t first,
     jobs.push_back(make_job(n, /*groups=*/8));
   }
   std::vector<MiB> granted(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!service.async_enabled()) {
+  if (!service.async_enabled()) {
+    for (std::size_t i = 0; i < count; ++i) {
       granted[i] = service.submit(jobs[i]).granted_mib;
-    } else {
-      EXPECT_EQ(service.submit_async(jobs[i],
-                                     [&granted, i](const MatchDecision& d) {
-                                       granted[i] = d.granted_mib;
-                                     }),
-                PushResult::kOk);
     }
+    for (std::size_t i = 0; i < count; ++i) {
+      service.feedback(jobs[i], explicit_feedback(jobs[i], granted[i]));
+    }
+    return granted;
   }
-  service.drain();
+  std::vector<Matchd::Request> requests(count);
+  const auto admit_all = [&] {
+    std::vector<PushResult> results(count);
+    EXPECT_EQ(service.admit(requests, results), count);
+    service.drain();
+  };
   for (std::size_t i = 0; i < count; ++i) {
-    const core::Feedback fb = explicit_feedback(jobs[i], granted[i]);
-    if (!service.async_enabled()) {
-      service.feedback(jobs[i], fb);
-    } else {
-      EXPECT_EQ(service.feedback_async(JobOutcome{jobs[i], fb}),
-                PushResult::kOk);
-    }
+    requests[i].job = jobs[i];
+    requests[i].on_decision = [&granted, i](const MatchDecision& d) {
+      granted[i] = d.granted_mib;
+    };
   }
-  service.drain();
+  admit_all();
+  for (std::size_t i = 0; i < count; ++i) {
+    requests[i] = Matchd::Request{};
+    requests[i].kind = Matchd::Request::Kind::kFeedback;
+    requests[i].job = jobs[i];
+    requests[i].fb = explicit_feedback(jobs[i], granted[i]);
+  }
+  admit_all();
   return granted;
 }
 
-/// The store's full state as a canonical set of snapshot rows (order-
+/// The store's full state as a canonical set of snapshot records (order-
 /// independent: restore order may legally differ from organic LRU order).
 std::multiset<std::string> store_rows(const Matchd& service,
                                       const std::string& tag) {
@@ -127,12 +136,21 @@ std::multiset<std::string> store_rows(const Matchd& service,
       (std::filesystem::temp_directory_path() / ("resmatch_rows_" + tag))
           .string();
   EXPECT_TRUE(service.save_store(path));
-  std::ifstream in(path);
   std::multiset<std::string> rows;
-  std::string line;
-  std::getline(in, line);  // header (format version), not state
-  while (std::getline(in, line)) rows.insert(line);
-  in.close();
+  const auto read = read_snapshot(
+      path, [&](WalRecordType type, std::uint64_t key, const double* fields,
+                std::size_t n_fields) {
+        std::string row = std::to_string(static_cast<int>(type)) + ',' +
+                          std::to_string(key);
+        for (std::size_t i = 0; i < n_fields; ++i) {
+          char cell[32];
+          std::snprintf(cell, sizeof(cell), ",%.17g", fields[i]);
+          row += cell;
+        }
+        rows.insert(row);
+        return true;
+      });
+  if (!read) ADD_FAILURE() << read.error();
   std::filesystem::remove(path);
   return rows;
 }
@@ -340,8 +358,9 @@ TEST(WalTest, AppendFlushReplayRoundTrip) {
   wal.value().reset();  // close files
 
   std::vector<std::pair<std::uint64_t, std::vector<double>>> seen;
-  auto replay = Wal::replay(
-      dir.path(), [&](std::uint64_t key, const double* f, std::size_t n) {
+  auto replay = Wal::replay_typed(
+      dir.path(), [&](WalRecordType, std::uint64_t key, const double* f,
+                      std::size_t n) {
         seen.emplace_back(key, std::vector<double>(f, f + n));
       });
   ASSERT_TRUE(replay.has_value()) << replay.error();
@@ -356,10 +375,12 @@ TEST(WalTest, AppendFlushReplayRoundTrip) {
 }
 
 TEST(WalTest, ReplayOfMissingDirIsEmpty) {
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       (std::filesystem::temp_directory_path() / "resmatch_never_created")
           .string(),
-      [](std::uint64_t, const double*, std::size_t) { FAIL(); });
+      [](WalRecordType, std::uint64_t, const double*, std::size_t) {
+        FAIL();
+      });
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(replay.value().files, 0u);
 }
@@ -378,9 +399,11 @@ TEST(WalTest, TornTailIsDroppedNotFatal) {
   wal.value().reset();
 
   std::size_t records = 0;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t, const double*, std::size_t) { ++records; });
+      [&](WalRecordType, std::uint64_t, const double*, std::size_t) {
+        ++records;
+      });
   ASSERT_TRUE(replay.has_value()) << replay.error();
   // Both flushed records survive; the torn half-frame after them is cut.
   EXPECT_EQ(records, 2u);
@@ -405,20 +428,18 @@ TEST(WalTest, RotationAndGcReplayAcrossGenerations) {
 
   // Both generations replay, oldest first — the later record wins.
   std::vector<double> values;
-  auto replay = Wal::replay(
-      dir.path(), [&](std::uint64_t, const double* f, std::size_t) {
-        values.push_back(f[0]);
-      });
+  auto replay = Wal::replay_typed(
+      dir.path(), [&](WalRecordType, std::uint64_t, const double* f,
+                      std::size_t) { values.push_back(f[0]); });
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(values, std::vector<double>({1.0, 2.0}));
 
   // GC removes only generations below the current one.
   wal.value()->remove_old_generations();
   values.clear();
-  replay = Wal::replay(dir.path(),
-                       [&](std::uint64_t, const double* f, std::size_t) {
-                         values.push_back(f[0]);
-                       });
+  replay = Wal::replay_typed(
+      dir.path(), [&](WalRecordType, std::uint64_t, const double* f,
+                      std::size_t) { values.push_back(f[0]); });
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(values, std::vector<double>({2.0}));
 }
@@ -462,9 +483,10 @@ TEST(WalTest, InjectedAppendFaultRepairsAndRetrySucceeds) {
   // The repaired log holds exactly the one accepted record — refused
   // appends must not leave torn frames mid-file.
   std::size_t records = 0;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t key, const double* fields, std::size_t n) {
+      [&](WalRecordType, std::uint64_t key, const double* fields,
+          std::size_t n) {
         ++records;
         EXPECT_EQ(key, 9u);
         ASSERT_EQ(n, 1u);
@@ -505,8 +527,8 @@ TEST(WalTest, FsyncFaultDoesNotCorruptBufferOrDropLaterAppends) {
   // duplicate; replay's last-wins upsert absorbs that) and the log parses
   // to the end — no zero-length frame stops replay partway.
   std::size_t records = 0;
-  auto replay = Wal::replay(
-      dir.path(), [&](std::uint64_t key, const double* fields,
+  auto replay = Wal::replay_typed(
+      dir.path(), [&](WalRecordType, std::uint64_t key, const double* fields,
                       std::size_t n) {
         ++records;
         EXPECT_EQ(key, 7u);
@@ -544,9 +566,9 @@ TEST(WalTest, FsyncFaultWithBatchedFlushKeepsLogParseable) {
   wal.value().reset();
 
   std::vector<std::uint64_t> keys;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t key, const double*, std::size_t) {
+      [&](WalRecordType, std::uint64_t key, const double*, std::size_t) {
         keys.push_back(key);
       });
   ASSERT_TRUE(replay.has_value()) << replay.error();
@@ -604,9 +626,11 @@ TEST(WalTest, FailedRotationLeavesEveryShardServingAndRetryable) {
   }
   EXPECT_EQ(files, 4u * (final_gen - gen0 + 1));
   std::size_t records = 0;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t, const double*, std::size_t) { ++records; });
+      [&](WalRecordType, std::uint64_t, const double*, std::size_t) {
+        ++records;
+      });
   ASSERT_TRUE(replay.has_value()) << replay.error();
   EXPECT_EQ(records, 12u);
   EXPECT_EQ(replay.value().torn_files, 0u);
@@ -631,8 +655,9 @@ TEST(WalTest, NearMissFilenamesAreNeitherReplayedNorCollected) {
   wal.value()->remove_old_generations();
   wal.value().reset();
 
-  auto replay = Wal::replay(
-      dir.path(), [](std::uint64_t, const double*, std::size_t) {});
+  auto replay = Wal::replay_typed(
+      dir.path(),
+      [](WalRecordType, std::uint64_t, const double*, std::size_t) {});
   ASSERT_TRUE(replay.has_value()) << replay.error();
   EXPECT_EQ(replay.value().files, 1u);  // only the real (rotated) log
   EXPECT_EQ(replay.value().torn_files, 0u);
@@ -724,6 +749,188 @@ TEST(WalTest, GoldenLogBytes) {
                                      std::uint64_t{0}, model));
 }
 
+/// Bytes of a whole file.
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Bytes of a hex literal such as the golden snapshot.
+std::vector<char> from_hex(const std::string& hex) {
+  std::vector<char> out;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+using Record = std::tuple<WalRecordType, std::uint64_t, std::vector<double>>;
+
+/// Every record of the snapshot at `path`, or the reason it was refused.
+util::Expected<std::vector<Record>> snapshot_records(const std::string& path) {
+  std::vector<Record> seen;
+  const auto read = read_snapshot(
+      path, [&](WalRecordType type, std::uint64_t key, const double* f,
+                std::size_t n) {
+        seen.emplace_back(type, key, std::vector<double>(f, f + n));
+        return true;
+      });
+  if (!read) return util::Expected<std::vector<Record>>::failure(read.error());
+  EXPECT_EQ(read.value(), seen.size());
+  return seen;
+}
+
+/// write_snapshot of `records`, in order.
+bool save_records(const std::string& path, const std::vector<Record>& records) {
+  return write_snapshot(path, [&](const RecordSink& put) {
+    for (const auto& [type, key, fields] : records) {
+      put(type, key, fields.data(), fields.size());
+    }
+  });
+}
+
+TEST(SnapshotTest, GoldenBytes) {
+  // A snapshot a build writes must stay readable by every later build, as
+  // the log must (GoldenLogBytes): the same frames, its own magic, and an
+  // end frame whose key counts the frames before it.
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the golden snapshot is recorded in little-endian order";
+  }
+  // Magic, then one frame per line: u32 length | u32 CRC-32 | u8 type |
+  // u64 key | f64 fields.
+  const std::string golden =
+      "52534d534e415031"
+      "31000000" "088e8088"  // upsert: 5 fields
+      "01efcdab8967452301"
+      "0000000000002940000000000000304000000000000000400000000000000000"
+      "0000000000002040"
+      "31000000" "1a1e80ce"  // upsert: 5 fields
+      "012a00000000000000"
+      "00000000000010400000000000002040000000000000f03f000000000000f03f"
+      "0000000000001040"
+      "21000000" "017ffd71"  // model state: 3 fields
+      "030000000000000000"
+      "000000000000f03f0000000000000840000000000000e0bf"
+      "09000000" "41426a35"  // end: 3 frames before it
+      "040300000000000000";
+  const std::vector<Record> records = {
+      {WalRecordType::kUpsert, 0x0123456789ABCDEFull,
+       {12.5, 16.0, 2.0, 0.0, 8.0}},
+      {WalRecordType::kUpsert, 42, {4.0, 8.0, 1.0, 1.0, 4.0}},
+      {WalRecordType::kModelState, 0, {1.0, 3.0, -0.5}},
+  };
+  TempDir dir("snapshot_golden");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/snapshot.csv";
+  ASSERT_TRUE(save_records(path, records));
+  EXPECT_EQ(to_hex(read_bytes(path)), golden);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // Decode the committed bytes, not the file just written.
+  const std::string committed = dir.path() + "/golden.snap";
+  write_bytes(committed, from_hex(golden));
+  const auto decoded = snapshot_records(committed);
+  ASSERT_TRUE(decoded.has_value()) << decoded.error();
+  EXPECT_EQ(decoded.value(), records);
+}
+
+TEST(SnapshotTest, EveryCutAndEveryFlippedByteIsRejected) {
+  // A snapshot is published whole (temp file, fsync, rename), so unlike a
+  // log it has no torn tail to stop at: a file cut anywhere, or with any
+  // byte changed, must fail to load rather than restore fewer groups.
+  const std::vector<Record> records = {
+      {WalRecordType::kUpsert, 7, {16.0, 32.0, 2.0, 0.0, 0.0}},
+      {WalRecordType::kUpsert, 8, {4.0, 8.0, 1.0, 1.0, 4.0}},
+      {WalRecordType::kUpsert, 9, {32.0, 32.0, 2.0, 0.0, 0.0}},
+      {WalRecordType::kModelState, 0, {0.25, -1.0}},
+  };
+  TempDir dir("snapshot_damage");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/whole.snap";
+  ASSERT_TRUE(save_records(path, records));
+  const std::vector<char> whole = read_bytes(path);
+  ASSERT_EQ(snapshot_records(path).value(), records);
+
+  const std::string damaged = dir.path() + "/damaged.snap";
+  for (std::size_t cut = 0; cut < whole.size(); ++cut) {
+    write_bytes(damaged, {whole.begin(), whole.begin() + cut});
+    EXPECT_FALSE(snapshot_records(damaged).has_value()) << "cut at " << cut;
+  }
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0xFF}) {
+      std::vector<char> flipped = whole;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      write_bytes(damaged, flipped);
+      EXPECT_FALSE(snapshot_records(damaged).has_value())
+          << "byte " << i << " ^ " << static_cast<int>(mask);
+    }
+  }
+  // Whole good frames in the wrong number fail too: one dropped from the
+  // middle leaves the end frame's count one high, and nothing may follow
+  // the end frame.
+  constexpr std::size_t kGroupFrame = 57;  // 8-B header, type, key, 5 f64
+  std::vector<char> dropped = whole;
+  dropped.erase(dropped.begin() + 8 + kGroupFrame,
+                dropped.begin() + 8 + 2 * kGroupFrame);
+  write_bytes(damaged, dropped);
+  EXPECT_FALSE(snapshot_records(damaged).has_value());
+  std::vector<char> extended = whole;
+  extended.insert(extended.end(), whole.begin() + 8,
+                  whole.begin() + 8 + kGroupFrame);
+  write_bytes(damaged, extended);
+  EXPECT_FALSE(snapshot_records(damaged).has_value());
+  EXPECT_FALSE(snapshot_records(dir.path() + "/missing.snap").has_value());
+}
+
+TEST(WalTest, FrameOverOneMibReplaysThroughLogAndSnapshot) {
+  // A frame's length is bounded by the bytes left in its file, not by a
+  // fixed cap: an ensemble model's state passes 1 MiB near 13k groups,
+  // and a capped reader would drop that frame and every later one of the
+  // file.
+  std::vector<double> model(140000);
+  for (std::size_t i = 0; i < model.size(); ++i) {
+    model[i] = static_cast<double>(i) * 0.5;
+  }
+  const std::vector<double> group = {16.0, 32.0, 2.0, 0.0, 0.0};
+  const std::vector<Record> expected = {
+      {WalRecordType::kModelState, 0, model},
+      {WalRecordType::kUpsert, 11, group},
+  };
+
+  TempDir dir("bigframe");
+  WalConfig config;
+  config.dir = dir.path();
+  config.shards = 1;
+  {
+    auto wal = Wal::open(config);
+    ASSERT_TRUE(wal.has_value()) << wal.error();
+    ASSERT_TRUE(
+        wal.value()->append_model_buffered(0, model.data(), model.size()));
+    ASSERT_TRUE(wal.value()->append_buffered(0, 11, group.data(), 5));
+    ASSERT_TRUE(wal.value()->flush_all());
+  }
+  std::vector<Record> seen;
+  auto replay = Wal::replay_typed(
+      dir.path(), [&](WalRecordType type, std::uint64_t key, const double* f,
+                      std::size_t n) {
+        seen.emplace_back(type, key, std::vector<double>(f, f + n));
+      });
+  ASSERT_TRUE(replay.has_value()) << replay.error();
+  EXPECT_EQ(replay.value().torn_files, 0u);
+  EXPECT_EQ(seen, expected);
+
+  const std::string path = dir.path() + "/snapshot.csv";
+  ASSERT_TRUE(save_records(path, expected));
+  const auto loaded = snapshot_records(path);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error();
+  EXPECT_EQ(loaded.value(), expected);
+}
+
 // --- matchd + WAL ------------------------------------------------------------
 
 TEST(MatchdWalTest, WalOnDecisionsMatchWalOff) {
@@ -781,24 +988,57 @@ TEST(MatchdWalTest, RecoveryReconstructsByteIdenticalState) {
 TEST(MatchdWalTest, CrashReplayDecisionEquivalence) {
   // End-to-end chaos harness: crash mid-workload under injected faults,
   // recover, and demand a byte-identical decision stream.
+  // The compact_every arm checkpoints mid-run, so recovery goes through a
+  // snapshot and replays only the log written after it. A rotation makes
+  // 16 fault checks (a flush fsync and a file create per WAL shard) with
+  // no retry, so at this rate about one compaction window in five gets
+  // through; 25 gives each seed several, and a log tail after the last.
   trace::Workload workload = trace::generate_cm5_small(/*seed=*/3, 600);
   const sim::ClusterSpec cluster = sim::cm5_heterogeneous(24.0, 16);
-  for (const std::uint64_t seed : {1u, 2u}) {
-    TempDir dir("crashreplay_" + std::to_string(seed));
-    util::FaultInjector injector(seed);
-    injector.arm_all({0.1, /*max_consecutive=*/3});
-    sim::CrashReplayConfig config;
-    config.matchd.durability.wal_dir = dir.path();
-    config.matchd.durability.faults = &injector;
-    config.crash_after = 200 + 50 * seed;
-    config.torn_tail = seed % 2 == 1;
-    const sim::CrashReplayResult result =
-        sim::crash_replay(workload, cluster, config);
-    EXPECT_EQ(result.decisions, workload.jobs.size());
-    EXPECT_EQ(result.mismatches, 0u) << "seed " << seed;
-    EXPECT_TRUE(result.identical());
-    EXPECT_GT(result.recovery.wal_records, 0u);
+  for (const std::uint64_t compact_every : {0u, 25u}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      const std::string tag =
+          std::to_string(seed) + "_" + std::to_string(compact_every);
+      TempDir dir("crashreplay_" + tag);
+      util::FaultInjector injector(seed);
+      injector.arm_all({0.1, /*max_consecutive=*/3});
+      sim::CrashReplayConfig config;
+      config.matchd.durability.wal_dir = dir.path();
+      config.matchd.durability.faults = &injector;
+      config.matchd.durability.compact_every = compact_every;
+      config.crash_after = 200 + 50 * seed;
+      config.torn_tail = seed % 2 == 1;
+      const sim::CrashReplayResult result =
+          sim::crash_replay(workload, cluster, config);
+      EXPECT_EQ(result.decisions, workload.jobs.size());
+      EXPECT_EQ(result.mismatches, 0u) << tag;
+      EXPECT_TRUE(result.identical()) << tag << ": " << result.recovery_error;
+      EXPECT_GT(result.recovery.wal_records, 0u) << tag;
+      if (compact_every > 0) {
+        EXPECT_GT(result.recovery.snapshot_rows, 0u) << tag;
+      }
+    }
   }
+}
+
+TEST(MatchdWalTest, CrashReplayReportsAFailedRecovery) {
+  // With no traffic before the crash, an empty store serves the rest of
+  // the workload exactly as the reference does, so only the recovery
+  // error can tell that recover() refused the directory's snapshot.
+  trace::Workload workload = trace::generate_cm5_small(/*seed=*/3, 200);
+  TempDir dir("crashreplay_badsnap");
+  std::filesystem::create_directories(dir.path());
+  std::ofstream(dir.path() + "/snapshot.csv") << "not a snapshot\n";
+  sim::CrashReplayConfig config;
+  config.matchd.durability.wal_dir = dir.path();
+  config.crash_after = 0;
+  const sim::CrashReplayResult result =
+      sim::crash_replay(workload, sim::cm5_heterogeneous(24.0, 16), config);
+  EXPECT_EQ(result.mismatches, 0u);
+  EXPECT_FALSE(result.identical());
+  EXPECT_NE(result.recovery_error.find(dir.path() + "/snapshot.csv"),
+            std::string::npos)
+      << result.recovery_error;
 }
 
 TEST(MatchdWalTest, ModelRecoveryRestoresAByteIdenticalTwin) {
@@ -806,8 +1046,8 @@ TEST(MatchdWalTest, ModelRecoveryRestoresAByteIdenticalTwin) {
   // ensemble estimator attached, crash + recover() must restore the model
   // byte-identically, and the recovered service's decision stream must
   // track an uncrashed twin exactly from then on. The batched input runs
-  // one worker and takes traffic in blocks through the queue, so batches
-  // hold many model requests: the batch path must apply them in arrival
+  // one worker and admits traffic a half-block at a time, so each batch
+  // holds 20 model requests: the batch path must apply them in arrival
   // order and force them to disk, or the synchronous twin fed the same
   // blocks falls out of lockstep.
   for (const bool batched : {false, true}) {
@@ -826,7 +1066,6 @@ TEST(MatchdWalTest, ModelRecoveryRestoresAByteIdenticalTwin) {
       if (batched) {
         config.workers = 1;
         config.batch_max = 64;
-        config.batch_linger = std::chrono::microseconds{200};
       }
       const std::size_t block = batched ? 20 : 1;
 
@@ -956,9 +1195,11 @@ TEST(MatchdWalTest, ShutdownFlushesBufferedRecords) {
     service.drain();
   }  // clean shutdown
   std::size_t records = 0;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t, const double*, std::size_t) { ++records; });
+      [&](WalRecordType, std::uint64_t, const double*, std::size_t) {
+        ++records;
+      });
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(records, 100u);  // every submit + feedback reached disk
 }
@@ -978,11 +1219,61 @@ TEST(MatchdWalTest, CrashDropsWhatFlushCadenceHadNotWritten) {
     service.simulate_crash();
   }
   std::size_t records = 0;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t, const double*, std::size_t) { ++records; });
+      [&](WalRecordType, std::uint64_t, const double*, std::size_t) {
+        ++records;
+      });
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(records, 0u);
+}
+
+TEST(MatchdWalTest, FlushWalMakesBufferedRecordsSurviveACrash) {
+  // The operator's on-demand flush: with a huge flush cadence the records
+  // sit in user-space buffers, and only flush_wal() before the crash
+  // makes them durable (CrashDropsWhatFlushCadenceHadNotWritten is the
+  // arm without it).
+  for (const bool flushed : {false, true}) {
+    TempDir dir(flushed ? "flushwal" : "noflushwal");
+    MatchdConfig config;
+    config.durability.wal_dir = dir.path();
+    config.durability.wal_flush_every = 1U << 20;
+    {
+      Matchd service(config);
+      service.set_ladder(test_ladder());
+      for (std::uint64_t n = 0; n < 50; ++n) drive_job(service, make_job(n));
+      if (flushed) {
+        EXPECT_TRUE(service.flush_wal());
+      }
+      service.simulate_crash();
+    }
+    std::size_t records = 0;
+    auto replay = Wal::replay_typed(
+        dir.path(),
+        [&](WalRecordType, std::uint64_t, const double*, std::size_t) {
+          ++records;
+        });
+    ASSERT_TRUE(replay.has_value());
+    EXPECT_EQ(records, flushed ? 100u : 0u);
+  }
+}
+
+TEST(MatchdWalTest, CsvSnapshotFromAnOlderBuildFailsRecoveryNamingTheFile) {
+  // A compaction already deleted the generations an old CSV snapshot
+  // replaced, so recovery must refuse it by name, never replay without it.
+  TempDir dir("csvsnapshot");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/snapshot.csv";
+  std::ofstream(path) << "resmatch-estimator-store,1,successive-approximation\n"
+                         "7,16,32,2,0,0\n";
+  MatchdConfig config;
+  config.durability.wal_dir = dir.path();
+  Matchd service(config);
+  const auto recovery = service.recover();
+  ASSERT_FALSE(recovery.has_value());
+  EXPECT_NE(recovery.error().find(path), std::string::npos)
+      << recovery.error();
+  EXPECT_EQ(service.stats().groups, 0u);
 }
 
 TEST(MatchdWalTest, CheckpointCompactsAndRecoversFromSnapshot) {
@@ -1296,9 +1587,11 @@ TEST(MatchdWalTest, BatchCommitPointMakesEveryBatchDurable) {
     service.simulate_crash();
   }
   std::size_t records = 0;
-  auto replay = Wal::replay(
+  auto replay = Wal::replay_typed(
       dir.path(),
-      [&](std::uint64_t, const double*, std::size_t) { ++records; });
+      [&](WalRecordType, std::uint64_t, const double*, std::size_t) {
+        ++records;
+      });
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(records, 2 * kJobs);  // every batched submit + feedback
 }

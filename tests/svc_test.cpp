@@ -1,14 +1,14 @@
-// Tests for the online service layer (src/svc): estimator store snapshot/
-// restore and LRU bounding, admission-queue backpressure, multithreaded
-// counter and invariant consistency, and decision-equivalence between the
-// service and the offline simulator.
+// Tests for the online service layer (src/svc): estimator store LRU
+// bounding, snapshot save/restore, admission-queue backpressure,
+// multithreaded counter and invariant consistency, and decision-
+// equivalence between the service and the offline simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
@@ -61,169 +61,6 @@ std::string temp_path(const char* name) {
 }
 
 // --- estimator store ---------------------------------------------------------
-
-TEST(EstimatorStore, SnapshotRestoreRoundTripSa) {
-  StoreConfig config;
-  config.shards = 4;
-  EstimatorStore<core::SaGroupState> store(config);
-  const core::CapacityLadder ladder = test_ladder();
-
-  // Populate a few groups in distinct states: converging, probing, frozen.
-  for (std::uint64_t key = 1; key <= 20; ++key) {
-    store.with_group(
-        key, [&] { return core::SaGroupState::fresh(32.0, 2.0); },
-        [&](core::SaGroupState& g) {
-          core::Feedback fb;
-          fb.success = key % 3 != 0;
-          fb.granted_mib = g.commit(ladder);
-          g.apply_feedback(fb, 32.0, ladder, 0.0);
-          return 0;
-        });
-  }
-
-  std::ostringstream snapshot;
-  store.save(snapshot);
-
-  EstimatorStore<core::SaGroupState> restored(config);
-  std::istringstream in(snapshot.str());
-  const auto rows = restored.load(in);
-  ASSERT_TRUE(rows.has_value()) << rows.error();
-  EXPECT_EQ(rows.value(), 20u);
-  EXPECT_EQ(restored.size(), store.size());
-
-  store.for_each([&](std::uint64_t key, const core::SaGroupState& original) {
-    const auto copy = restored.peek(key);
-    ASSERT_TRUE(copy.has_value()) << "missing group " << key;
-    EXPECT_EQ(copy->estimate, original.estimate);
-    EXPECT_EQ(copy->last_good, original.last_good);
-    EXPECT_EQ(copy->alpha, original.alpha);
-    EXPECT_EQ(copy->probe_outstanding, original.probe_outstanding);
-    EXPECT_EQ(copy->probe_grant, original.probe_grant);
-  });
-}
-
-TEST(EstimatorStore, SnapshotRestoreRoundTripLi) {
-  EstimatorStore<core::LiGroupState> store({2, 64});
-  store.with_group(
-      7, [] { return core::LiGroupState{}; },
-      [](core::LiGroupState& g) {
-        g.recent_usage = {12.5, 14.0, 9.75};
-        return 0;
-      });
-  store.with_group(
-      8, [] { return core::LiGroupState{}; },
-      [](core::LiGroupState& g) {
-        g.poisoned = true;
-        return 0;
-      });
-
-  std::ostringstream snapshot;
-  store.save(snapshot);
-  EstimatorStore<core::LiGroupState> restored({2, 64});
-  std::istringstream in(snapshot.str());
-  const auto rows = restored.load(in);
-  ASSERT_TRUE(rows.has_value()) << rows.error();
-  EXPECT_EQ(rows.value(), 2u);
-
-  const auto seven = restored.peek(7);
-  ASSERT_TRUE(seven.has_value());
-  EXPECT_EQ(seven->recent_usage, (std::deque<MiB>{12.5, 14.0, 9.75}));
-  EXPECT_FALSE(seven->poisoned);
-  const auto eight = restored.peek(8);
-  ASSERT_TRUE(eight.has_value());
-  EXPECT_TRUE(eight->poisoned);
-}
-
-TEST(EstimatorStore, RejectsForeignAndCorruptSnapshots) {
-  EstimatorStore<core::SaGroupState> store({2, 64});
-  {
-    std::istringstream in("not-a-snapshot,1,successive-approximation\n");
-    EXPECT_FALSE(store.load(in).has_value());
-  }
-  {
-    // Wrong state kind: an LI snapshot into an SA store.
-    std::istringstream in("resmatch-estimator-store,1,last-instance\n");
-    EXPECT_FALSE(store.load(in).has_value());
-  }
-  {
-    std::istringstream in(
-        "resmatch-estimator-store,1,successive-approximation\n"
-        "42,1.0,bogus\n");
-    EXPECT_FALSE(store.load(in).has_value());
-  }
-  {
-    // Wrong field count for SaGroupState.
-    std::istringstream in(
-        "resmatch-estimator-store,1,successive-approximation\n"
-        "42,1.0,2.0\n");
-    EXPECT_FALSE(store.load(in).has_value());
-  }
-  // Every cell must parse in full: a number with junk after it, a
-  // negative key (an unsigned parse that skips the check wraps it to
-  // 2^64 - 1) and an empty last cell after a trailing comma all make the
-  // row corrupt, model row included.
-  const std::string header =
-      "resmatch-estimator-store,1,successive-approximation\n";
-  for (const char* row :
-       {"7,16x,32,2,0,0", "7,16,32,2,0,0garbage", "7junk,16,32,2,0,0",
-        "-1,16,32,2,0,0", "7,16,32,2,0,0,", "model,1.5,2x"}) {
-    std::istringstream in(header + row + "\n");
-    EXPECT_FALSE(store.load(in).has_value()) << row;
-  }
-  EXPECT_EQ(store.size(), 0u);
-  // The well-formed row restores.
-  std::istringstream in(header + "7,16,32,2,0,0\n");
-  EXPECT_EQ(store.load(in).value(), 1u);
-  ASSERT_TRUE(store.peek(7).has_value());
-  EXPECT_EQ(store.peek(7)->estimate, 16.0);
-}
-
-TEST(EstimatorStore, RejectsTruncatedSnapshots) {
-  // A snapshot cut mid-write (no trailing newline on the last row, or cut
-  // inside the header) must be an explicit error, not a silent partial
-  // restore — save() always terminates every line, so a missing
-  // terminator can only mean truncation. The durable recovery path for a
-  // bad snapshot is WAL replay, which needs the loader to fail loudly.
-  EstimatorStore<core::SaGroupState> source({2, 64});
-  source.with_group(
-      7, [] { return core::SaGroupState::fresh(32.0, 2.0); },
-      [](core::SaGroupState&) { return 0; });
-  std::ostringstream snapshot;
-  source.save(snapshot);
-  const std::string full = snapshot.str();
-  ASSERT_FALSE(full.empty());
-  ASSERT_EQ(full.back(), '\n');
-
-  {
-    // Whole snapshot: loads.
-    EstimatorStore<core::SaGroupState> store({2, 64});
-    std::istringstream in(full);
-    EXPECT_EQ(store.load(in).value(), 1u);
-  }
-  {
-    // Last byte (the final newline) gone: truncated trailing row.
-    EstimatorStore<core::SaGroupState> store({2, 64});
-    std::istringstream in(full.substr(0, full.size() - 1));
-    const auto result = store.load(in);
-    ASSERT_FALSE(result.has_value());
-    EXPECT_NE(result.error().find("truncated"), std::string::npos);
-  }
-  {
-    // Cut mid-row.
-    EstimatorStore<core::SaGroupState> store({2, 64});
-    std::istringstream in(full.substr(0, full.size() - 4));
-    EXPECT_FALSE(store.load(in).has_value());
-  }
-  {
-    // Header without its newline: also truncation, not an empty store.
-    EstimatorStore<core::SaGroupState> store({2, 64});
-    const std::string header = full.substr(0, full.find('\n'));
-    std::istringstream in(header);
-    const auto result = store.load(in);
-    ASSERT_FALSE(result.has_value());
-    EXPECT_NE(result.error().find("truncated"), std::string::npos);
-  }
-}
 
 TEST(EstimatorStore, LruEvictionAtBound) {
   StoreConfig config;
@@ -467,69 +304,136 @@ TEST(Matchd, AsyncPipelineMatchesSyncDecisions) {
   }
 }
 
-// --- persistence atomicity and restore semantics -----------------------------
+// --- snapshots: round trip, atomicity, restore semantics --------------------
 
-TEST(EstimatorStore, FailedSaveLeavesPriorSnapshotIntact) {
-  namespace fs = std::filesystem;
-  const std::string path = temp_path("store_atomic_save.csv");
-  const core::CapacityLadder ladder = test_ladder();
-
-  StoreConfig config;
-  config.shards = 2;
-  EstimatorStore<core::SaGroupState> store(config);
-  for (std::uint64_t key = 1; key <= 10; ++key) {
-    store.with_group(
-        key, [&] { return core::SaGroupState::fresh(32.0, 2.0); },
-        [&](core::SaGroupState& g) { return g.commit(ladder); });
+/// Groups for users [first, last): one submit + feedback each, failing for
+/// every third user, so the store holds lowered, probing and frozen states.
+void populate(Matchd& service, UserId first, UserId last) {
+  for (UserId user = first; user < last; ++user) {
+    const trace::JobRecord job =
+        make_job(32, user % 3 == 0 ? 40.0 : 5.0, user);
+    const MatchDecision d = service.submit(job);
+    service.feedback(job, outcome(job, d.granted_mib));
   }
-  ASSERT_TRUE(store.save_file(path));
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(Matchd, SnapshotRoundTripKeepsEveryGroupAndItsLruOrder) {
+  const std::string original = temp_path("resmatch_roundtrip_a.snap");
+  const std::string copy = temp_path("resmatch_roundtrip_b.snap");
+  // One stripe bounded at 20 groups, so the order a restore rebuilds
+  // decides which group the next new one evicts.
+  MatchdConfig config;
+  config.store.shards = 1;
+  config.store.max_groups = 20;
+  Matchd service(config);
+  service.set_ladder(test_ladder());
+  populate(service, 1, 21);
+  populate(service, 1, 2);  // user 1 becomes the most recently used
+  ASSERT_TRUE(service.save_store(original));
+
+  Matchd restored(config);
+  restored.set_ladder(test_ladder());
+  const auto rows = restored.restore_store(original);
+  ASSERT_TRUE(rows.has_value()) << rows.error();
+  EXPECT_EQ(rows.value(), 20u);
+  // Same groups, same states, same order: the restored store saves the
+  // same bytes.
+  ASSERT_TRUE(restored.save_store(copy));
+  EXPECT_EQ(file_bytes(copy), file_bytes(original));
+
+  // A new group evicts the same least recently used group (user 2) in
+  // both, and leaves both stores byte-identical again.
+  populate(service, 21, 22);
+  populate(restored, 21, 22);
+  EXPECT_EQ(restored.stats().evictions, 1u);
+  ASSERT_TRUE(service.save_store(original));
+  ASSERT_TRUE(restored.save_store(copy));
+  EXPECT_EQ(file_bytes(copy), file_bytes(original));
+  const trace::JobRecord evicted = make_job(32, 5.0, 2);
+  EXPECT_EQ(restored.preview(evicted), test_ladder().round_up(32));
+  std::remove(original.c_str());
+  std::remove(copy.c_str());
+}
+
+TEST(Matchd, FailedSaveLeavesPriorSnapshotIntact) {
+  namespace fs = std::filesystem;
+  const std::string path = temp_path("resmatch_atomic_save.snap");
+  MatchdConfig config;
+  config.store.shards = 2;
+  Matchd service(config);
+  service.set_ladder(test_ladder());
+  populate(service, 1, 11);
+  ASSERT_TRUE(service.save_store(path));
 
   // Snapshots go through a deterministic temp name in the target's
   // directory; a directory squatting on it forces the writer's open to
   // fail before the real file could be touched (works even as root,
   // where permission bits would not).
   fs::create_directory(path + ".tmp");
-  store.with_group(
-      99, [&] { return core::SaGroupState::fresh(64.0, 2.0); },
-      [&](core::SaGroupState& g) { return g.commit(ladder); });
-  EXPECT_FALSE(store.save_file(path));
+  populate(service, 99, 100);
+  EXPECT_FALSE(service.save_store(path));
   fs::remove_all(path + ".tmp");
 
   // The failed save must not have truncated or replaced the old snapshot.
-  EstimatorStore<core::SaGroupState> restored(config);
-  const auto rows = restored.load_file(path);
-  ASSERT_TRUE(rows.has_value()) << rows.error();
-  EXPECT_EQ(rows.value(), 10u);
-  EXPECT_FALSE(restored.peek(99).has_value());
+  {
+    Matchd restored(config);
+    const auto rows = restored.restore_store(path);
+    ASSERT_TRUE(rows.has_value()) << rows.error();
+    EXPECT_EQ(rows.value(), 10u);
+    EXPECT_EQ(restored.stats().groups, 10u);
+  }
 
   // A save retried after the obstruction clears replaces atomically and
   // leaves no temp file behind.
-  ASSERT_TRUE(store.save_file(path));
+  ASSERT_TRUE(service.save_store(path));
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-  EstimatorStore<core::SaGroupState> after(config);
-  EXPECT_EQ(after.load_file(path).value(), 11u);
+  Matchd after(config);
+  EXPECT_EQ(after.restore_store(path).value(), 11u);
   std::remove(path.c_str());
 }
 
-TEST(EstimatorStore, RestoreDoesNotPerturbTrafficCounters) {
-  const core::CapacityLadder ladder = test_ladder();
-  StoreConfig config;
-  config.shards = 4;
-  EstimatorStore<core::SaGroupState> store(config);
-  for (std::uint64_t key = 1; key <= 20; ++key) {
-    store.with_group(
-        key, [&] { return core::SaGroupState::fresh(32.0, 2.0); },
-        [&](core::SaGroupState& g) { return g.commit(ladder); });
+TEST(Matchd, SnapshotWithAnInvalidGroupRestoresNothing) {
+  // The file's frames are intact, but alpha below 1 breaks Algorithm 1's
+  // invariants, so SaGroupState::from_fields refuses the second group:
+  // the restore fails by file name and keeps none of the file.
+  const std::string path = temp_path("resmatch_invalid_group.snap");
+  ASSERT_TRUE(write_snapshot(path, [](const RecordSink& put) {
+    const double good[5] = {16.0, 32.0, 2.0, 0.0, 0.0};
+    const double bad[5] = {16.0, 32.0, 0.5, 0.0, 0.0};
+    put(WalRecordType::kUpsert, 7, good, 5);
+    put(WalRecordType::kUpsert, 8, bad, 5);
+  }));
+  Matchd service;
+  const auto rows = service.restore_store(path);
+  ASSERT_FALSE(rows.has_value());
+  EXPECT_NE(rows.error().find(path), std::string::npos) << rows.error();
+  EXPECT_EQ(service.stats().groups, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(Matchd, RestoreDoesNotPerturbTrafficCounters) {
+  const std::string path = temp_path("resmatch_restore_counters.snap");
+  MatchdConfig config;
+  config.store.shards = 4;
+  {
+    Matchd service(config);
+    service.set_ladder(test_ladder());
+    populate(service, 1, 21);
+    ASSERT_TRUE(service.save_store(path));
   }
-  std::ostringstream snapshot;
-  store.save(snapshot);
 
   // A warm restart restores state, not traffic: hit-rate metrics must
   // start from zero instead of reporting one spurious miss per group.
-  EstimatorStore<core::SaGroupState> restored(config);
-  std::istringstream in(snapshot.str());
-  ASSERT_TRUE(restored.load(in).has_value());
-  const StoreStats stats = restored.stats();
+  Matchd restored(config);
+  ASSERT_TRUE(restored.restore_store(path).has_value());
+  const StoreStats stats = restored.stats().store;
   EXPECT_EQ(stats.entries, 20u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
@@ -537,19 +441,18 @@ TEST(EstimatorStore, RestoreDoesNotPerturbTrafficCounters) {
 
   // The entry bound still holds during restore, and even forced drops
   // are not counted as traffic evictions.
-  StoreConfig bounded;
-  bounded.shards = 1;
-  bounded.max_groups = 8;
-  EstimatorStore<core::SaGroupState> small(bounded);
-  std::istringstream in2(snapshot.str());
-  ASSERT_TRUE(small.load(in2).has_value());
-  EXPECT_EQ(small.size(), 8u);
+  MatchdConfig bounded;
+  bounded.store.shards = 1;
+  bounded.store.max_groups = 8;
+  Matchd small(bounded);
+  ASSERT_TRUE(small.restore_store(path).has_value());
+  EXPECT_EQ(small.stats().groups, 8u);
   EXPECT_EQ(small.stats().evictions, 0u);
 
   // Re-restoring over live entries must not duplicate them.
-  std::istringstream in3(snapshot.str());
-  ASSERT_TRUE(restored.load(in3).has_value());
-  EXPECT_EQ(restored.size(), 20u);
+  ASSERT_TRUE(restored.restore_store(path).has_value());
+  EXPECT_EQ(restored.stats().groups, 20u);
+  std::remove(path.c_str());
 }
 
 // --- thread pool spawn-failure recovery --------------------------------------
@@ -758,22 +661,6 @@ TEST(MpmcQueue, PopBulkDrainsFifoUpToMax) {
   queue.close();
   // Closed and drained: the consumer-exit signal.
   EXPECT_EQ(queue.pop_bulk(out, 4), 0u);
-}
-
-TEST(MpmcQueue, PopBulkLingerCollectsLateArrivals) {
-  BoundedMpmcQueue<int> queue(16);
-  ASSERT_EQ(queue.try_push(1), PushResult::kOk);
-  std::thread producer([&queue] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ASSERT_EQ(queue.try_push(2), PushResult::kOk);
-  });
-  // The batch is short of max, so the consumer lingers; the late arrival
-  // completes it well before the deadline (a full batch ends the linger).
-  std::vector<int> out;
-  EXPECT_EQ(queue.pop_bulk(out, 2, std::chrono::microseconds(2'000'000)),
-            2u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  producer.join();
 }
 
 TEST(MpmcQueue, WaitEmptyWaitsForDrainEvenAfterClose) {
@@ -1033,7 +920,6 @@ TEST(Matchd, BatchedPipelineMatchesSyncPerKeyChains) {
     config.workers = 2;
     config.queue_capacity = 256;
     config.batch_max = batch_max;
-    config.batch_linger = std::chrono::microseconds{200};
     Matchd service(config);
     service.set_ladder(ladder);
 
